@@ -12,7 +12,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
+from .semantics import reachable
 from .square import ALPHABET, SignedSymbol
+
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass
@@ -37,14 +40,18 @@ class Nfa:
             raw.setdefault((src, sym), set()).add(dst)
         return {k: frozenset(v) for k, v in raw.items()}
 
+    def step(self, subset: frozenset, sym: SignedSymbol) -> frozenset:
+        """The states reachable from ``subset`` on one symbol."""
+        tmap = self.transition_map
+        nxt: set = set()
+        for state in subset:
+            nxt |= tmap.get((state, sym), _EMPTY)
+        return frozenset(nxt)
+
     def run(self, word: Iterable[SignedSymbol]) -> frozenset:
         current = frozenset([self.start])
-        empty = frozenset()
         for sym in word:
-            nxt: set = set()
-            for state in current:
-                nxt |= self.transition_map.get((state, sym), empty)
-            current = frozenset(nxt)
+            current = self.step(current, sym)
             if not current:
                 break
         return current
@@ -99,8 +106,6 @@ def determinize(nfa: Nfa) -> Dfa:
     """
     if nfa.alphabet != ALPHABET:
         raise ValueError("expected the canonical 18-symbol alphabet")
-    tmap = nfa.transition_map
-    empty = frozenset()
     start = frozenset([nfa.start])
     ids: dict[frozenset, int] = {start: 0}
     order: list[frozenset] = [start]
@@ -110,10 +115,7 @@ def determinize(nfa: Nfa) -> Dfa:
         subset = order[i]
         row = []
         for sym in nfa.alphabet:
-            nxt: set = set()
-            for state in subset:
-                nxt |= tmap.get((state, sym), empty)
-            succ = frozenset(nxt)
+            succ = nfa.step(subset, sym)
             if succ not in ids:
                 ids[succ] = len(order)
                 order.append(succ)
@@ -123,21 +125,8 @@ def determinize(nfa: Nfa) -> Dfa:
     accepting = frozenset(
         ids[s] for s in order if s & nfa.accepting
     )
-    dead = ids.get(empty)
+    dead = ids.get(_EMPTY)
     return Dfa(nfa.alphabet, tuple(rows), 0, accepting, dead)
-
-
-def _reachable(dfa: Dfa) -> list[int]:
-    seen = {dfa.start}
-    order = [dfa.start]
-    i = 0
-    while i < len(order):
-        for succ in dfa.delta[order[i]]:
-            if succ not in seen:
-                seen.add(succ)
-                order.append(succ)
-        i += 1
-    return order
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -147,7 +136,7 @@ def minimize(dfa: Dfa) -> Dfa:
     renumbered by BFS from the start block so the output is canonical.
     Idempotent up to that renumbering.
     """
-    reach = _reachable(dfa)
+    reach = reachable(lambda q: dfa.delta[q], dfa.start)
     reach_set = set(reach)
     n_sym = len(dfa.alphabet)
 
@@ -198,18 +187,11 @@ def minimize(dfa: Dfa) -> Dfa:
                     )
 
     # renumber blocks canonically by BFS from the start block
-    start_block = block_of[dfa.start]
-    ids: dict[frozenset[int], int] = {start_block: 0}
-    order: list[frozenset[int]] = [start_block]
-    i = 0
-    while i < len(order):
-        rep = next(iter(order[i]))
-        for k in range(n_sym):
-            succ = block_of[dfa.delta[rep][k]]
-            if succ not in ids:
-                ids[succ] = len(order)
-                order.append(succ)
-        i += 1
+    order = reachable(
+        lambda block: [block_of[q] for q in dfa.delta[next(iter(block))]],
+        block_of[dfa.start],
+    )
+    ids = {block: i for i, block in enumerate(order)}
 
     rows = []
     for block in order:

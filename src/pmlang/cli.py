@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -244,19 +245,12 @@ def cmd_sample(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    cfg = verify.VerifyConfig(
-        seed=args.seed,
-        exhaustive_len=args.exhaustive_len,
-        random_strings=args.random_strings,
-        random_max_len=args.random_max_len,
-        invariant_len=args.invariant_len,
-        maga_len=args.maga_len,
-        count_max=args.count_max,
-        qubits_max=args.qubits_max,
-        quantum_runs=args.quantum_runs,
-        quantum_run_len=args.quantum_run_len,
-        quantum_trials=args.quantum_trials,
-    )
+    names = [f.name for f in dataclasses.fields(verify.VerifyConfig)]
+    try:
+        cfg = verify.VerifyConfig(**{name: getattr(args, name) for name in names})
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     results = verify.run_suites([args.suite], cfg)
     failed = 0
     for suite in results:
@@ -333,16 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=("all", *verify.SUITES), required=True
     )
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--exhaustive-len", type=int, default=4)
-    p.add_argument("--random-strings", type=int, default=100_000)
-    p.add_argument("--random-max-len", type=int, default=12)
-    p.add_argument("--invariant-len", type=int, default=5)
-    p.add_argument("--maga-len", type=int, default=5)
-    p.add_argument("--count-max", type=int, default=1000)
-    p.add_argument("--qubits-max", type=int, default=64)
-    p.add_argument("--quantum-runs", type=int, default=10_000)
-    p.add_argument("--quantum-run-len", type=int, default=12)
-    p.add_argument("--quantum-trials", type=int, default=1000)
+    for f in dataclasses.fields(verify.VerifyConfig):
+        if f.name != "seed":
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=int, default=f.default)
     p.set_defaults(func=cmd_verify)
 
     return parser

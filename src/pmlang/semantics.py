@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .square import (
     ALPHABET,
@@ -32,6 +32,8 @@ from .square import (
     SignedSymbol,
     parse_string,
 )
+
+Node = TypeVar("Node", bound=Hashable)
 
 # Per-observable geometry, indexed by Observable.index.
 _COMPATIBLE_IDX: tuple[frozenset[int], ...] = tuple(
@@ -240,18 +242,49 @@ def consistent_continuations(state: DeterminationState) -> tuple[SignedSymbol, .
     return tuple(sym for sym in ALPHABET if step(state, sym).state is not None)
 
 
+def next_states(state: DeterminationState) -> list[DeterminationState]:
+    """The state after each consistent continuation, in canonical order."""
+    return [step(state, sym).state for sym in consistent_continuations(state)]
+
+
+def reachable(
+    successors: Callable[[Node], Iterable[Node]], start: Node
+) -> tuple[Node, ...]:
+    """Every node reachable from ``start`` along ``successors``, in BFS order."""
+    order = [start]
+    seen = {start}
+    for node in order:
+        for child in successors(node):
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+    return tuple(order)
+
+
 def reachable_states() -> tuple[DeterminationState, ...]:
     """Every state reachable from the empty history, in BFS order."""
-    seen = {EMPTY_STATE: None}
-    queue = [EMPTY_STATE]
-    while queue:
-        st = queue.pop(0)
-        for sym in ALPHABET:
-            res = step(st, sym)
-            if res.state is not None and res.state not in seen:
-                seen[res.state] = None
-                queue.append(res.state)
-    return tuple(seen)
+    return reachable(next_states, EMPTY_STATE)
+
+
+def layers(
+    successors: Callable[[Node], Iterable[Node]], start: Node, depth: int
+) -> Iterator[dict[Node, int]]:
+    """Multiplicity DP over a graph, one layer per length 0..depth.
+
+    ``successors(node)`` lists one child per outgoing edge, repeats
+    included.  Layer ``k`` maps each node to the number of length-``k``
+    edge paths from ``start`` that end there, so a property of nodes
+    summed with these weights counts strings without enumerating them.
+    """
+    layer = {start: 1}
+    yield layer
+    for _ in range(depth):
+        nxt: dict[Node, int] = {}
+        for node, count in layer.items():
+            for child in successors(node):
+                nxt[child] = nxt.get(child, 0) + count
+        layer = nxt
+        yield layer
 
 
 def iter_consistent_strings(
@@ -259,19 +292,18 @@ def iter_consistent_strings(
 ) -> Iterator[tuple[tuple[SignedSymbol, ...], DeterminationState]]:
     """Depth-first walk of all consistent strings up to ``max_len``.
 
-    Yields each string with its final state, the empty string included.
+    Yields each string with its final state, the empty string included,
+    in preorder with children in canonical symbol order.
     """
-
-    def walk(prefix: tuple[SignedSymbol, ...], state: DeterminationState):
+    stack = [((), EMPTY_STATE)]
+    while stack:
+        prefix, state = stack.pop()
         yield prefix, state
-        if len(prefix) == max_len:
-            return
-        for sym in ALPHABET:
-            res = step(state, sym)
-            if res.state is not None:
-                yield from walk(prefix + (sym,), res.state)
-
-    yield from walk((), EMPTY_STATE)
+        if len(prefix) < max_len:
+            stack.extend(
+                (prefix + (sym,), step(state, sym).state)
+                for sym in reversed(consistent_continuations(state))
+            )
 
 
 def state_is_well_formed(state: DeterminationState) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -44,6 +44,13 @@ class VerifyConfig:
     quantum_runs: int = 10_000
     quantum_run_len: int = 12
     quantum_trials: int = 1000
+
+    def __post_init__(self):
+        # the bit-curve checks read lengths up to 200
+        floors = {"count_max": 200, "qubits_max": 1, "quantum_trials": 1}
+        for name, value in vars(self).items():
+            if value < floors.get(name, 0):
+                raise ValueError(f"{name} must be at least {floors.get(name, 0)}")
 
 
 @dataclass
@@ -75,20 +82,6 @@ def _pipeline() -> tuple[automata.Nfa, automata.Dfa, automata.Dfa]:
 
 def minimal_dfa() -> automata.Dfa:
     return _pipeline()[2]
-
-
-def _nfa_stepper(nfa: automata.Nfa):
-    tmap = nfa.transition_map
-    empty = frozenset()
-
-    @lru_cache(maxsize=None)
-    def advance(states: frozenset, sym: SignedSymbol) -> frozenset:
-        out: set = set()
-        for q in states:
-            out |= tmap.get((q, sym), empty)
-        return frozenset(out)
-
-    return advance
 
 
 def _random_string(rng: random.Random, max_len: int) -> tuple[SignedSymbol, ...]:
@@ -130,42 +123,54 @@ def suite_parity(cfg: VerifyConfig) -> SuiteResult:
 def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
     result = SuiteResult("grammar")
     nfa = _pipeline()[0]
-    advance = _nfa_stepper(nfa)
-    accepting = nfa.accepting
-    start = frozenset([nfa.start])
+    # hashing NFA states dominates a subset step; frozensets cache their hash
+    nfa_step = lru_cache(maxsize=None)(nfa.step)
 
-    nodes = 0
+    # Product of the grammar's NFA subsets with the oracle's states
+    # (None once a string is inconsistent), over all 18 symbols.
+    def successors(node):
+        nset, state = node
+        return [
+            (
+                nfa_step(nset, sym),
+                None if state is None else semantics.step(state, sym).state,
+            )
+            for sym in ALPHABET
+        ]
+
+    def mismatched(node) -> bool:
+        nset, state = node
+        return bool(nset & nfa.accepting) != (state is not None)
+
+    nfa_start = frozenset([nfa.start])
+    start = (nfa_start, semantics.EMPTY_STATE)
+    strings = 0
     mismatches = 0
-
-    def walk(nset: frozenset, sstate, depth: int):
-        nonlocal nodes, mismatches
-        nodes += 1
-        if bool(nset & accepting) != (sstate is not None):
-            mismatches += 1
-        if depth == cfg.exhaustive_len:
-            return
-        for sym in ALPHABET:
-            child = semantics.step(sstate, sym).state if sstate is not None else None
-            walk(advance(nset, sym), child, depth + 1)
-
-    walk(start, semantics.EMPTY_STATE, 0)
+    for layer in semantics.layers(successors, start, cfg.exhaustive_len):
+        for node, count in layer.items():
+            strings += count
+            mismatches += count * mismatched(node)
     result.add(
         f"derivability matches consistency on all strings up to length "
         f"{cfg.exhaustive_len}",
         mismatches == 0,
-        f"{nodes} strings, {mismatches} mismatches",
+        f"{strings} strings, {mismatches} mismatches",
+    )
+    pairs = semantics.reachable(successors, start)
+    bad_pairs = sum(map(mismatched, pairs))
+    result.add(
+        "derivability matches consistency on every reachable (NFA subset, "
+        "oracle state) pair, so on strings of every length",
+        bad_pairs == 0,
+        f"{len(pairs)} pairs, {bad_pairs} mismatches",
     )
 
     rng = random.Random(cfg.seed)
     bad = 0
     for _ in range(cfg.random_strings):
         w = _random_string(rng, cfg.random_max_len)
-        nset = start
-        for sym in w:
-            nset = advance(nset, sym)
-            if not nset:
-                break
-        if bool(nset & accepting) != semantics.is_consistent(w):
+        derivable = bool(reduce(nfa_step, w, nfa_start) & nfa.accepting)
+        if derivable != semantics.is_consistent(w):
             bad += 1
     result.add(
         f"derivability matches consistency on {cfg.random_strings} random "
@@ -208,34 +213,30 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
     result = SuiteResult("invariants")
+
+    def full_contexts(state) -> int:
+        return sum(
+            all(state.values[o.index] for o in ctx.members) for ctx in CONTEXTS
+        )
+
+    # Nodes are (state, whether the parent state held a context).
+    def successors(node):
+        state, _ = node
+        has_context = full_contexts(state) > 0
+        return [(child, has_context) for child in semantics.next_states(state)]
+
     nodes = 0
     malformed = 0
     persistence_broken = 0
     multi_context = 0
-
-    def walk(state, depth: int, parent_had_context: bool):
-        nonlocal nodes, malformed, persistence_broken, multi_context
-        nodes += 1
-        if not semantics.state_is_well_formed(state):
-            malformed += 1
-        full = [
-            ctx
-            for ctx in CONTEXTS
-            if all(state.values[o.index] for o in ctx.members)
-        ]
-        if len(full) > 1:
-            multi_context += 1
-        has_context = bool(full)
-        if parent_had_context and not has_context:
-            persistence_broken += 1
-        if depth == cfg.invariant_len:
-            return
-        for sym in ALPHABET:
-            res = semantics.step(state, sym)
-            if res.state is not None:
-                walk(res.state, depth + 1, has_context)
-
-    walk(semantics.EMPTY_STATE, 0, False)
+    start = (semantics.EMPTY_STATE, False)
+    for layer in semantics.layers(successors, start, cfg.invariant_len):
+        for (state, parent_had_context), count in layer.items():
+            full = full_contexts(state)
+            nodes += count
+            malformed += count * (not semantics.state_is_well_formed(state))
+            multi_context += count * (full > 1)
+            persistence_broken += count * (parent_had_context and not full)
     result.add(
         f"states stay well-formed over every consistent string up to length "
         f"{cfg.invariant_len}",
@@ -251,6 +252,18 @@ def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
         "a determined context persists under every consistent extension",
         persistence_broken == 0,
         f"{persistence_broken} violations",
+    )
+    states = semantics.reachable_states()
+    edges = [(s, t) for s in states for t in semantics.next_states(s)]
+    violations = sum(
+        not semantics.state_is_well_formed(s) or full_contexts(s) > 1
+        for s in states
+    ) + sum(full_contexts(s) > 0 and full_contexts(t) == 0 for s, t in edges)
+    result.add(
+        "well-formedness, at most one context and persistence hold on every "
+        "reachable state and edge, so on strings of every length",
+        violations == 0,
+        f"{len(states)} states, {len(edges)} edges, {violations} violations",
     )
 
     rng = random.Random(cfg.seed + 1)
@@ -294,17 +307,10 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
     dfa = minimal_dfa()
 
     # brute force through the operational rules only
-    brute = [0] * 5
-    def walk(state, depth):
-        brute[depth] += 1
-        if depth == 4:
-            return
-        for sym in ALPHABET:
-            res = semantics.step(state, sym)
-            if res.state is not None:
-                walk(res.state, depth + 1)
-
-    walk(semantics.EMPTY_STATE, 0)
+    brute = [
+        sum(layer.values())
+        for layer in semantics.layers(semantics.next_states, semantics.EMPTY_STATE, 4)
+    ]
     report = automata.count_words(dfa, cfg.count_max)
     result.add(
         "word counts at lengths 0..4 match brute-force enumeration",
@@ -367,20 +373,12 @@ def suite_maga(cfg: VerifyConfig) -> SuiteResult:
 
     seen: set[maga.ClassTriple] = set()
     total = 0
-    def walk(state, depth):
-        nonlocal total
-        t = _context_triple(state)
-        if t is not None:
-            seen.add(t)
-            total += 1
-        if depth == 3:
-            return
-        for sym in ALPHABET:
-            res = semantics.step(state, sym)
-            if res.state is not None:
-                walk(res.state, depth + 1)
-
-    walk(semantics.EMPTY_STATE, 0)
+    for layer in semantics.layers(semantics.next_states, semantics.EMPTY_STATE, 3):
+        for state, count in layer.items():
+            t = _context_triple(state)
+            if t is not None:
+                seen.add(t)
+                total += count
     result.add(
         "classification is total and onto the 24 classes (strings up to "
         "length 3)",
@@ -420,36 +418,33 @@ def suite_maga(cfg: VerifyConfig) -> SuiteResult:
     machine = maga.reference_maga_plus()
     nodes = 0
     wrong = 0
-    spot_rng = random.Random(cfg.seed + 2)
-    spot_checked = 0
-    spot_wrong = 0
-
-    def sweep(prefix, state, depth):
-        nonlocal nodes, wrong, spot_checked, spot_wrong
-        t = _context_triple(state)
-        if t is not None:
-            nodes += 1
+    for layer in semantics.layers(
+        semantics.next_states, semantics.EMPTY_STATE, cfg.maga_len
+    ):
+        for state, count in layer.items():
+            t = _context_triple(state)
+            if t is None:
+                continue
+            nodes += count
             for obs in OBSERVABLES:
                 expected = state.value_of(obs)
                 got = machine.m1(t, obs)
                 if got != (maga.RANDOM_OUTCOME if expected is None else expected):
-                    wrong += 1
-            if spot_rng.random() < 0.002:
-                # exercise the real callables end to end on a sample
-                spot_checked += 1
-                for obs in OBSERVABLES:
-                    if machine.output(prefix, obs) != maga.expected_output(
-                        prefix, obs
-                    ):
-                        spot_wrong += 1
-        if depth == cfg.maga_len:
-            return
-        for sym in ALPHABET:
-            res = semantics.step(state, sym)
-            if res.state is not None:
-                sweep(prefix + (sym,), res.state, depth + 1)
+                    wrong += count
 
-    sweep((), semantics.EMPTY_STATE, 0)
+    # exercise the real callables end to end on a sample
+    spot_rng = random.Random(cfg.seed + 2)
+    spot_checked = 0
+    spot_wrong = 0
+    for prefix, state in semantics.iter_consistent_strings(cfg.maga_len):
+        if semantics.determined_context(state) is None:
+            continue
+        if spot_rng.random() >= 0.002:
+            continue
+        spot_checked += 1
+        for obs in OBSERVABLES:
+            if machine.output(prefix, obs) != maga.expected_output(prefix, obs):
+                spot_wrong += 1
     result.add(
         f"reference machine answers match the oracle on every "
         f"context-determining string up to length {cfg.maga_len}",
@@ -482,21 +477,11 @@ def suite_adapter(cfg: VerifyConfig) -> SuiteResult:
 
     nodes = 0
     wrong = 0
-
-    def sweep(prefix, state, depth):
-        nonlocal nodes, wrong
+    for prefix, _ in semantics.iter_consistent_strings(cfg.exhaustive_len):
         nodes += 1
         for obs in OBSERVABLES:
             if machine.output(prefix, obs) != maga.expected_output(prefix, obs):
                 wrong += 1
-        if depth == cfg.exhaustive_len:
-            return
-        for sym in ALPHABET:
-            res = semantics.step(state, sym)
-            if res.state is not None:
-                sweep(prefix + (sym,), res.state, depth + 1)
-
-    sweep((), semantics.EMPTY_STATE, 0)
     result.add(
         f"adapter answers match the oracle on every consistent string up to "
         f"length {cfg.exhaustive_len}",

@@ -41,22 +41,17 @@ def test_determinize_preserves_the_language():
     assert dfa.accepts(sq.parse_string("A B c ~gamma"))
     assert not dfa.accepts(sq.parse_string("A B c gamma"))
     nfa = gr.to_nfa()
-    stepper = {}
 
-    def walk(nset, q, depth):
-        assert bool(nset & nfa.accepting) == (q in dfa.accepting)
-        if depth == 4:
-            return
-        for sym in sq.ALPHABET:
-            key = (nset, sym)
-            if key not in stepper:
-                out = set()
-                for state in nset:
-                    out |= nfa.transition_map.get((state, sym), frozenset())
-                stepper[key] = frozenset(out)
-            walk(stepper[key], dfa.delta[q][sym.index], depth + 1)
+    def successors(node):
+        nset, q = node
+        return [
+            (nfa.step(nset, sym), dfa.delta[q][sym.index]) for sym in sq.ALPHABET
+        ]
 
-    walk(frozenset([nfa.start]), dfa.start, 0)
+    start = (frozenset([nfa.start]), dfa.start)
+    for layer in sem.layers(successors, start, 4):
+        for nset, q in layer:
+            assert bool(nset & nfa.accepting) == (q in dfa.accepting)
 
 
 def test_minimize_is_idempotent():
@@ -69,15 +64,17 @@ def test_minimize_is_idempotent():
 def test_minimize_preserves_the_language():
     m = minimal_dfa()
 
-    def walk(q, state, depth):
-        assert (q in m.accepting) == (state is not None)
-        if depth == 4:
-            return
+    def successors(node):
+        q, state = node
+        out = []
         for sym in sq.ALPHABET:
             child = sem.step(state, sym).state if state is not None else None
-            walk(m.delta[q][sym.index], child, depth + 1)
+            out.append((m.delta[q][sym.index], child))
+        return out
 
-    walk(m.start, sem.EMPTY_STATE, 0)
+    for layer in sem.layers(successors, (m.start, sem.EMPTY_STATE), 4):
+        for q, state in layer:
+            assert (q in m.accepting) == (state is not None)
 
 
 def independent_equivalence_class_count(depth: int) -> int:

@@ -4,6 +4,8 @@ reference strings, machine formats, and seeded reproducibility."""
 import io
 import json
 
+import pytest
+
 from pmlang import cli
 
 CONSISTENT_TRACE = """\
@@ -180,6 +182,43 @@ def test_verify_with_reduced_depths():
     )
     assert code == 0
     assert "FAIL" not in text
+
+    # every suite at the benchmark's depths; pins the reported counts
+    code, text = invoke(
+        "verify --suite all --seed 20240817 --exhaustive-len 3 --invariant-len 4 "
+        "--maga-len 4 --random-strings 20000 --quantum-runs 2000".split()
+    )
+    assert code == 0
+    assert "FAIL" not in text
+    for detail in (
+        "(6175 strings, 0 mismatches)",
+        "(81865 states visited, 0 malformed)",
+        "(24 classes over 3600 context-determining strings)",
+        "(67104 strings x 9 observables, 0 wrong; 143 full-interface spot checks)",
+        "(5239 strings x 9 observables, 0 wrong)",
+    ):
+        assert detail in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "grammar", "--exhaustive-len", "-1"],
+        ["--suite", "invariants", "--invariant-len", "-1"],
+        ["--suite", "maga", "--maga-len", "-1"],
+        ["--suite", "counting", "--count-max", "0"],
+        ["--suite", "counting", "--count-max", "150"],
+        ["--suite", "quantum", "--quantum-trials", "0"],
+        ["--suite", "quantum", "--seed", "-5"],
+    ],
+)
+def test_verify_rejects_out_of_range_settings(argv, capsys):
+    code, text = invoke(["verify", "--seed", "1", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_run_suites_rejects_unknown_names():

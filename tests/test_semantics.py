@@ -103,19 +103,16 @@ def test_iter_consistent_strings_counts():
 def test_exhaustive_walk_depth_three():
     """Well-formedness and context persistence over all consistent
     strings of length up to three."""
-    def walk(state, depth, had_context):
-        assert sem.state_is_well_formed(state)
+    def successors(node):
+        state, _ = node
         has_context = sem.determined_context(state) is not None
-        if had_context:
-            assert has_context
-        if depth == 3:
-            return
-        for sym in sq.ALPHABET:
-            res = sem.step(state, sym)
-            if res.state is not None:
-                walk(res.state, depth + 1, has_context)
+        return [(child, has_context) for child in sem.next_states(state)]
 
-    walk(sem.EMPTY_STATE, 0, False)
+    for layer in sem.layers(successors, (sem.EMPTY_STATE, False), 3):
+        for state, had_context in layer:
+            assert sem.state_is_well_formed(state)
+            if had_context:
+                assert sem.determined_context(state) is not None
 
 
 # -- property-based checks ------------------------------------------------
