@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Any, Iterable, Mapping
 
 from .semantics import reachable
@@ -212,24 +213,27 @@ class CountReport:
 
     counts: tuple[int, ...]
     cumulative: tuple[int, ...]
-    growth_ratios: tuple[Fraction, ...]
     dominant_rate_estimate: float | None
+    recurrence: tuple[int, ...]  # a_1..a_L: c_n = sum a_i c_{n-i} for n >= L
 
     @property
     def max_length(self) -> int:
         return len(self.counts) - 1
 
+    @property
+    def growth_ratios(self) -> tuple[Fraction, ...]:
+        """Exact consecutive-count ratios over the back half of the range."""
+        c = self.counts
+        return tuple(
+            Fraction(c[n + 1], c[n])
+            for n in range(self.max_length // 2, self.max_length)
+            if c[n] > 0
+        )
 
-def count_words(dfa: Dfa, n_max: int) -> CountReport:
-    """Count accepted words of each length 0..n_max exactly.
 
-    Dynamic programming over the transition table with Python integers,
-    so there is no overflow at any length.  Consecutive-count ratios
-    are reported for the back half of the range; the final ratio is the
-    dominant growth-rate estimate.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+def _dp_counts(dfa: Dfa, n_max: int) -> list[int]:
+    """Accepted words of each length 0..n_max, by dynamic programming
+    over the transition table with Python integers."""
     vec = [0] * dfa.num_states
     vec[dfa.start] = 1
     counts = [sum(vec[q] for q in dfa.accepting)]
@@ -242,16 +246,59 @@ def count_words(dfa: Dfa, n_max: int) -> CountReport:
                 nxt[succ] += amount
         vec = nxt
         counts.append(sum(vec[q] for q in dfa.accepting))
-    cumulative = list(counts)
-    for i in range(1, len(cumulative)):
-        cumulative[i] += cumulative[i - 1]
-    ratios = tuple(
-        Fraction(counts[n + 1], counts[n])
-        for n in range(n_max // 2, n_max)
-        if counts[n] > 0
-    )
-    rate = float(ratios[-1]) if ratios else None
-    return CountReport(tuple(counts), tuple(cumulative), ratios, rate)
+    return counts
+
+
+def _berlekamp_massey(terms: list[int]) -> tuple[int, ...]:
+    """The shortest recurrence s_n = a_1 s_{n-1} + ... + a_L s_{n-L}
+    (n >= L) that generates ``terms``, by Berlekamp-Massey over the
+    rationals (Massey 1969).  Raises ValueError unless every a_i is an
+    integer."""
+    conn = [Fraction(1)]  # C(x) = 1 - a_1 x - ... - a_L x^L
+    prev = [Fraction(1)]
+    length, shift, prev_disc = 0, 1, Fraction(1)
+    for n, term in enumerate(terms):
+        disc = term + sum(conn[i] * terms[n - i] for i in range(1, len(conn)))
+        if disc == 0:
+            shift += 1
+            continue
+        old = conn
+        conn = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        for i, b in enumerate(prev):
+            conn[i + shift] -= disc / prev_disc * b
+        if 2 * length <= n:
+            length, prev, prev_disc, shift = n + 1 - length, old, disc, 1
+        else:
+            shift += 1
+    conn += [Fraction(0)] * (length + 1 - len(conn))
+    coeffs = [-c for c in conn[1 : length + 1]]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError(
+            "recurrence has non-integer coefficients " + ", ".join(map(str, coeffs))
+        )
+    return tuple(int(c) for c in coeffs)
+
+
+def count_words(dfa: Dfa, n_max: int) -> CountReport:
+    """Count accepted words of each length 0..n_max exactly.
+
+    The counts of a language accepted by an N-state DFA satisfy a linear
+    recurrence of order at most N, and 2N terms determine it.  So the DP
+    runs for 2N terms only, Berlekamp-Massey derives the recurrence from
+    them, and the recurrence extends the counts, exactly, to any length.
+    The dominant growth-rate estimate is the final count ratio.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    counts = _dp_counts(dfa, 2 * dfa.num_states - 1)
+    recurrence = _berlekamp_massey(counts)
+    taps = [(i, a) for i, a in enumerate(recurrence, 1) if a]
+    for n in range(len(counts), n_max + 1):
+        counts.append(sum(a * counts[n - i] for i, a in taps))
+    del counts[n_max + 1 :]
+    # int / int is correctly rounded, as float(Fraction(...)) is
+    rate = counts[-1] / counts[-2] if n_max else None
+    return CountReport(tuple(counts), tuple(accumulate(counts)), rate, recurrence)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import sys
 from typing import Sequence
@@ -41,11 +40,9 @@ def _emit_rows(headers, rows, fmt, out, extra: dict | None = None):
             for key, value in extra.items():
                 print(f"{key}: {value}", file=out)
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(headers)
         writer.writerows(rows)
-        out.write(buf.getvalue())
     else:
         payload = {"rows": [dict(zip(headers, row)) for row in rows]}
         if extra:
@@ -163,6 +160,16 @@ def cmd_dfa(args, out) -> int:
 
 def cmd_count(args, out) -> int:
     report = automata.count_words(verify.minimal_dfa(), args.max_length)
+    try:
+        str(report.cumulative[-1])  # the largest value in any row
+    except ValueError:
+        print(
+            f"error: counts at --max-length {args.max_length} have more digits "
+            f"than the int-to-str limit sys.get_int_max_str_digits() = "
+            f"{sys.get_int_max_str_digits()}; set PYTHONINTMAXSTRDIGITS to raise it",
+            file=sys.stderr,
+        )
+        return 2
     curve = automata.hv_bits(report)
     headers = ["n", "count", "cumulative", "bits"]
     rows = [
@@ -340,15 +347,14 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "qubits", None) is not None and args.qubits < 1:
-        print("error: --qubits must be at least 1", file=sys.stderr)
-        return 2
-    if getattr(args, "max_length", None) is not None and args.max_length < 0:
-        print("error: --max-length must be non-negative", file=sys.stderr)
-        return 2
-    if getattr(args, "length", None) is not None and args.length < 0:
-        print("error: --length must be non-negative", file=sys.stderr)
-        return 2
+    for name, floor in (
+        ("qubits", 1), ("max_length", 0), ("length", 0), ("runs", 0), ("seed", 0)
+    ):
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            need = f"at least {floor}" if floor else "non-negative"
+            print(f"error: --{name.replace('_', '-')} must be {need}", file=sys.stderr)
+            return 2
     try:
         return args.func(args, out)
     except TokenError as err:

@@ -318,6 +318,15 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
         f"dfa {list(report.counts[:5])} vs brute {brute}",
     )
 
+    dp = automata._dp_counts(dfa, cfg.count_max)
+    mismatches = sum(a != b for a, b in zip(report.counts, dp))
+    result.add(
+        f"the recurrence derived by Berlekamp-Massey from {2 * dfa.num_states} "
+        f"DP terms reproduces the DP at every length 0..{cfg.count_max}",
+        report.counts == tuple(dp),
+        f"recurrence {list(report.recurrence)}, {mismatches} mismatches",
+    )
+
     tail = [float(r) for r in report.growth_ratios[-100:]]
     spread = max(tail) - min(tail) if tail else float("inf")
     result.add(

@@ -160,6 +160,39 @@ def test_bit_curve():
     assert 0 < curve.bits[200] / 200 <= math.log2(18)
 
 
+def test_count_words_matches_the_dp_at_every_length():
+    m = minimal_dfa()
+    dp = tuple(au._dp_counts(m, 300))
+    for n in (0, 1, 2, 3, 86, 87, 88, 89, 300):
+        assert au.count_words(m, n).counts == dp[: n + 1]
+
+
+def test_derived_recurrence_is_pinned():
+    # c_0 = 1 breaks c_n = 24 c_{n-1} - 135 c_{n-2} at n = 2, hence order 3
+    assert au.count_words(minimal_dfa(), 0).recurrence == (24, -135, 0)
+
+
+def test_berlekamp_massey_refuses_non_integer_coefficients():
+    assert au._berlekamp_massey([1, 2, 4, 8, 16]) == (2,)
+    with pytest.raises(ValueError):
+        au._berlekamp_massey([2, 1])  # s_1 = s_0 / 2
+
+
+def test_counts_match_the_closed_form_at_length_1000():
+    n = 1000
+    report = au.count_words(minimal_dfa(), n)
+    assert report.counts[n] == (24 * 15**n - 10 * 9**n) // 15
+
+
+def test_dominant_rate_estimate_is_the_correctly_rounded_last_ratio():
+    m = minimal_dfa()
+    for n in (1, 2, 88, 200):
+        report = au.count_words(m, n)
+        c = report.counts
+        assert report.dominant_rate_estimate == float(Fraction(c[n], c[n - 1]))
+    assert au.count_words(m, 0).dominant_rate_estimate is None
+
+
 def test_count_words_rejects_negative_length():
     with pytest.raises(ValueError):
         au.count_words(minimal_dfa(), -1)

@@ -221,6 +221,31 @@ def test_verify_rejects_out_of_range_settings(argv, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--length", "3", "--runs", "-1", "--seed", "1"],
+        ["sample", "--length", "3", "--seed", "-1"],
+        ["count", "--max-length", "3656"],
+    ],
+)
+def test_out_of_range_arguments_exit_two(argv, capsys):
+    code, text = invoke(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_count_refusal_names_the_digit_limit(capsys):
+    code, _ = invoke(["count", "--max-length", "3656", "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "sys.get_int_max_str_digits()" in err
+    assert "PYTHONINTMAXSTRDIGITS" in err
+
+
 def test_run_suites_rejects_unknown_names():
     import pytest
 
