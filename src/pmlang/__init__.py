@@ -22,7 +22,6 @@ from .semantics import (
     determined_context,
     initial_state,
     is_consistent,
-    predicted_value,
     step,
     trace,
 )

@@ -139,19 +139,24 @@ def cmd_dfa(args, out) -> int:
     )
     if args.emit == "dot":
         text = automata.to_dot(dfa, _semantic_labels(dfa))
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            out.write(text)
+    else:
+        rows = [
+            ["states (total)", str(dfa.num_states)],
+            ["states (excluding dead)", str(dfa.live_state_count)],
+            ["accepting states", str(len(dfa.accepting))],
+            ["dead state", "none" if dfa.dead is None else f"q{dfa.dead}"],
+        ]
+        text = _render_table(["property", "value"], rows) + "\n"
+    if not args.output:
+        out.write(text)
         return 0
-    rows = [
-        ["states (total)", str(dfa.num_states)],
-        ["states (excluding dead)", str(dfa.live_state_count)],
-        ["accepting states", str(len(dfa.accepting))],
-        ["dead state", "none" if dfa.dead is None else f"q{dfa.dead}"],
-    ]
-    print(_render_table(["property", "value"], rows), file=out)
+    try:
+        fh = open(args.output, "w")
+    except OSError as err:
+        print(f"error: cannot write {args.output}: {err.strerror}", file=sys.stderr)
+        return 2
+    with fh:
+        fh.write(text)
     return 0
 
 

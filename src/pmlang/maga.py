@@ -96,9 +96,17 @@ def classify(w: str | Iterable[SignedSymbol]) -> ClassTriple:
     state = semantics.final_state(w)
     if state is None:
         raise ValueError("classify requires a consistent string")
+    triple = class_of(state)
+    if triple is None:
+        raise ValueError("classify requires a string that determines a context")
+    return triple
+
+
+def class_of(state: semantics.DeterminationState) -> ClassTriple | None:
+    """The class of an oracle state, or None when it holds no full context."""
     found = semantics.determined_context(state)
     if found is None:
-        raise ValueError("classify requires a string that determines a context")
+        return None
     ctx, vals = found
     return ClassTriple(ctx, vals[0], vals[1])
 
@@ -171,15 +179,12 @@ class MagaSpec:
 
     ``m0`` maps (history, observable) to (memory state, observable) and
     must pass the observable through unchanged; ``m1`` maps (memory
-    state, observable) to +1, -1, or ``r``.  The callables are taken to
-    be defined on histories up to ``universe_max_len`` tokens, which
-    keeps every verification sweep finite and enumerable.
+    state, observable) to +1, -1, or ``r``.
     """
 
     memory_states: tuple[Hashable, ...]
     m0: Callable[[String, Observable], tuple[Hashable, Observable]]
     m1: Callable[[Hashable, Observable], PredictorOutcome]
-    universe_max_len: int = 5
 
     def memory_of(self, w: String, s: Observable) -> Hashable:
         state, passed = self.m0(w, s)
@@ -193,13 +198,27 @@ class MagaSpec:
         return self.m1(self.memory_of(w, s), s)
 
 
+def required_answer(
+    state: semantics.DeterminationState, s: Observable
+) -> PredictorOutcome:
+    """What a correct predictor must answer after a history that ends in
+    ``state``: the determined value, or ``r`` when ``s`` is open."""
+    v = state.value_of(s)
+    return RANDOM_OUTCOME if v is None else v
+
+
 def expected_output(w: String, s: Observable) -> PredictorOutcome:
     """What a correct predictor must answer, per the operational rules."""
     state = semantics.final_state(w)
     if state is None:
         raise ValueError("predictor outputs are defined on consistent strings")
-    v = state.value_of(s)
-    return RANDOM_OUTCOME if v is None else v
+    return required_answer(state, s)
+
+
+def class_answer(triple: ClassTriple, s: Observable) -> PredictorOutcome:
+    """The answer map of the class-triple machines: the context value of
+    ``s``, or ``r`` off the context."""
+    return triple.full_assignment().get(s, RANDOM_OUTCOME)
 
 
 def reference_maga_plus() -> MagaSpec:
@@ -213,10 +232,7 @@ def reference_maga_plus() -> MagaSpec:
     def m0(w: String, s: Observable):
         return classify(w), s
 
-    def m1(state: ClassTriple, s: Observable) -> PredictorOutcome:
-        return state.full_assignment().get(s, RANDOM_OUTCOME)
-
-    return MagaSpec(tuple(all_class_triples()), m0, m1)
+    return MagaSpec(tuple(all_class_triples()), m0, class_answer)
 
 
 def merged_reference_maga(keep: int, merge: int) -> MagaSpec:
@@ -231,10 +247,7 @@ def merged_reference_maga(keep: int, merge: int) -> MagaSpec:
             t = triples[keep]
         return t, s
 
-    def m1(state: ClassTriple, s: Observable) -> PredictorOutcome:
-        return state.full_assignment().get(s, RANDOM_OUTCOME)
-
-    return MagaSpec(kept, m0, m1)
+    return MagaSpec(kept, m0, class_answer)
 
 
 @dataclass(frozen=True)
@@ -321,12 +334,8 @@ def mara_from_dfa(dfa: Dfa) -> MaraSpec:
         q for q in dfa.states if dfa.dead is None or q != dfa.dead
     )
 
-    @lru_cache(maxsize=None)
-    def run(w: String) -> int:
-        return dfa.run(w)
-
     def m0(w: String, t: SignedSymbol) -> int:
-        return run(tuple(w))
+        return dfa.run(w)
 
     def m1(q: int, t: SignedSymbol) -> bool:
         return dfa.delta[q][t.index] in dfa.accepting

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -93,22 +94,36 @@ def standard_square() -> dict[Observable, PauliObservable]:
         obs: PauliObservable(obs, np.kron(left, right))
         for obs, (left, right) in zip(OBSERVABLES, _PAULI_WORDS)
     }
+    failures = operator_law_failures(table)
+    if failures:
+        raise AssertionError("; ".join(failures))
+    return table
+
+
+def operator_law_failures(table: dict[Observable, PauliObservable]) -> list[str]:
+    """Every broken operator law of a table: an operator that does not
+    square to the identity, an in-context pair that does not commute, or
+    a context whose product is not its sign times the identity."""
+    eye = np.eye(4)
+    failures = [
+        f"{obs.name} is not an involution"
+        for obs, p in table.items()
+        if not np.allclose(p.operator @ p.operator, eye, atol=TOLERANCE)
+    ]
     for ctx in CONTEXTS:
+        for a, b in combinations(ctx.members, 2):
+            pa, pb = table[a].operator, table[b].operator
+            if not np.allclose(pa @ pb, pb @ pa, atol=TOLERANCE):
+                failures.append(
+                    f"{a.name} and {b.name} do not commute in context {ctx.name}"
+                )
         ops = [table[o].operator for o in ctx.members]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not np.allclose(
-                    ops[i] @ ops[j], ops[j] @ ops[i], atol=TOLERANCE
-                ):
-                    raise AssertionError(
-                        f"operators in context {ctx.name} do not commute"
-                    )
         prod = ops[0] @ ops[1] @ ops[2]
-        if not np.allclose(prod, ctx.sign * np.eye(4), atol=TOLERANCE):
-            raise AssertionError(
+        if not np.allclose(prod, ctx.sign * eye, atol=TOLERANCE):
+            failures.append(
                 f"context {ctx.name} product is not {ctx.sign:+d} identity"
             )
-    return table
+    return failures
 
 
 def haar_random_state(rng: np.random.Generator) -> QState:

@@ -202,11 +202,6 @@ def trace(w: str | Iterable[SignedSymbol]) -> Trace:
     return Trace(symbols, tuple(states), None)
 
 
-def predicted_value(state: DeterminationState, obs: Observable) -> int | None:
-    """The value the history forces on ``obs``, or None when undetermined."""
-    return state.value_of(obs)
-
-
 @lru_cache(maxsize=None)
 def determined_context(
     state: DeterminationState,

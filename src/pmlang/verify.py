@@ -360,12 +360,28 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
 # ---------------------------------------------------------------- maga
 
 
-def _context_triple(state) -> maga.ClassTriple | None:
-    found = semantics.determined_context(state)
-    if found is None:
+def _answer(m1_or_output, *args):
+    """A predictor's answer, or None (which no required answer equals)
+    when its recognizer rejects both signed extensions."""
+    try:
+        return m1_or_output(*args)
+    except maga.RecognizerContractError:
         return None
-    ctx, vals = found
-    return maga.ClassTriple(ctx, vals[0], vals[1])
+
+
+def _spot_check(machine: maga.MagaSpec, strings, rng: random.Random) -> tuple[int, int]:
+    """Run the full interface ``machine.output`` against the oracle on a
+    0.2% sample of ``strings``; returns (strings checked, wrong answers)."""
+    checked = 0
+    wrong = 0
+    for w in strings:
+        if rng.random() >= 0.002:
+            continue
+        checked += 1
+        for obs in OBSERVABLES:
+            if _answer(machine.output, w, obs) != maga.expected_output(w, obs):
+                wrong += 1
+    return checked, wrong
 
 
 def suite_maga(cfg: VerifyConfig) -> SuiteResult:
@@ -384,7 +400,7 @@ def suite_maga(cfg: VerifyConfig) -> SuiteResult:
     total = 0
     for layer in semantics.layers(semantics.next_states, semantics.EMPTY_STATE, 3):
         for state, count in layer.items():
-            t = _context_triple(state)
+            t = maga.class_of(state)
             if t is not None:
                 seen.add(t)
                 total += count
@@ -431,29 +447,24 @@ def suite_maga(cfg: VerifyConfig) -> SuiteResult:
         semantics.next_states, semantics.EMPTY_STATE, cfg.maga_len
     ):
         for state, count in layer.items():
-            t = _context_triple(state)
+            t = maga.class_of(state)
             if t is None:
                 continue
             nodes += count
             for obs in OBSERVABLES:
-                expected = state.value_of(obs)
-                got = machine.m1(t, obs)
-                if got != (maga.RANDOM_OUTCOME if expected is None else expected):
+                if machine.m1(t, obs) != maga.required_answer(state, obs):
                     wrong += count
 
     # exercise the real callables end to end on a sample
-    spot_rng = random.Random(cfg.seed + 2)
-    spot_checked = 0
-    spot_wrong = 0
-    for prefix, state in semantics.iter_consistent_strings(cfg.maga_len):
-        if semantics.determined_context(state) is None:
-            continue
-        if spot_rng.random() >= 0.002:
-            continue
-        spot_checked += 1
-        for obs in OBSERVABLES:
-            if machine.output(prefix, obs) != maga.expected_output(prefix, obs):
-                spot_wrong += 1
+    spot_checked, spot_wrong = _spot_check(
+        machine,
+        (
+            w
+            for w, state in semantics.iter_consistent_strings(cfg.maga_len)
+            if semantics.determined_context(state) is not None
+        ),
+        random.Random(cfg.seed + 2),
+    )
     result.add(
         f"reference machine answers match the oracle on every "
         f"context-determining string up to length {cfg.maga_len}",
@@ -484,18 +495,49 @@ def suite_adapter(cfg: VerifyConfig) -> SuiteResult:
         f"{len(recognizer.memory_states)} >= {math.isqrt(24 - 1) + 1}",
     )
 
+    # Nodes are (DFA state, oracle state) after a consistent string; the
+    # recognizer's memory for both signed extensions is the DFA state.
+    def successors(node):
+        q, state = node
+        return [
+            (dfa.delta[q][sym.index], semantics.step(state, sym).state)
+            for sym in semantics.consistent_continuations(state)
+        ]
+
+    def wrong_answers(node) -> int:
+        q, state = node
+        return sum(
+            _answer(machine.m1, (q, q), obs) != maga.required_answer(state, obs)
+            for obs in OBSERVABLES
+        )
+
+    start = (dfa.start, semantics.EMPTY_STATE)
     nodes = 0
     wrong = 0
-    for prefix, _ in semantics.iter_consistent_strings(cfg.exhaustive_len):
-        nodes += 1
-        for obs in OBSERVABLES:
-            if machine.output(prefix, obs) != maga.expected_output(prefix, obs):
-                wrong += 1
+    for layer in semantics.layers(successors, start, cfg.exhaustive_len):
+        for node, count in layer.items():
+            nodes += count
+            wrong += count * wrong_answers(node)
     result.add(
         f"adapter answers match the oracle on every consistent string up to "
         f"length {cfg.exhaustive_len}",
         wrong == 0,
         f"{nodes} strings x 9 observables, {wrong} wrong",
+    )
+
+    pairs = semantics.reachable(successors, start)
+    bad = sum(map(wrong_answers, pairs))
+    spot_checked, spot_wrong = _spot_check(
+        machine,
+        (w for w, _ in semantics.iter_consistent_strings(cfg.exhaustive_len)),
+        random.Random(cfg.seed + 7),
+    )
+    result.add(
+        "adapter answers match the oracle on every reachable (DFA state, "
+        "oracle state) pair, so on strings of every length",
+        bad == 0 and spot_wrong == 0,
+        f"{len(pairs)} pairs x 9 observables, {bad} wrong; "
+        f"{spot_checked} full-interface spot checks",
     )
     return result
 
@@ -546,27 +588,12 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteResult:
 def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     result = SuiteResult("quantum")
     table = quantum.standard_square()
-    eye = np.eye(4)
-    ops_ok = all(
-        np.allclose(p.operator @ p.operator, eye, atol=quantum.TOLERANCE)
-        for p in table.values()
-    )
-    ctx_ok = True
-    for ctx in CONTEXTS:
-        ops = [table[o].operator for o in ctx.members]
-        prod = ops[0] @ ops[1] @ ops[2]
-        if not np.allclose(prod, ctx.sign * eye, atol=quantum.TOLERANCE):
-            ctx_ok = False
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not np.allclose(
-                    ops[i] @ ops[j], ops[j] @ ops[i], atol=quantum.TOLERANCE
-                ):
-                    ctx_ok = False
+    failures = quantum.operator_law_failures(table)
     result.add(
         "operators are involutions; contexts commute and multiply to the "
         "context sign",
-        ops_ok and ctx_ok,
+        not failures,
+        "; ".join(failures),
     )
 
     inconsistent = 0

@@ -145,6 +145,25 @@ def test_dfa_stats():
     assert "44" in text and "43" in text
 
 
+def test_dfa_writes_the_table_to_a_file(tmp_path):
+    target = tmp_path / "dfa.txt"
+    code, text = invoke(["dfa", "-o", str(target)])
+    assert code == 0
+    assert text == ""
+    assert target.read_text() == invoke(["dfa"])[1]
+
+
+def test_dfa_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.dot"
+    code, text = invoke(["dfa", "--emit", "dot", "-o", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
 def test_sample_is_reproducible_and_checked():
     code_a, text_a = invoke(
         ["sample", "--length", "10", "--runs", "4", "--seed", "7", "--check"]
@@ -196,6 +215,7 @@ def test_verify_with_reduced_depths():
         "(24 classes over 3600 context-determining strings)",
         "(67104 strings x 9 observables, 0 wrong; 143 full-interface spot checks)",
         "(5239 strings x 9 observables, 0 wrong)",
+        "(43 pairs x 9 observables, 0 wrong; 11 full-interface spot checks)",
     ):
         assert detail in text
 

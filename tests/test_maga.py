@@ -2,6 +2,7 @@
 pigeonhole refutations, the sharp reference machine, the recognizer
 adapter, and the qubit-scaling formulas."""
 
+import dataclasses
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from pmlang import grammar as gr
 from pmlang import maga
 from pmlang import semantics as sem
 from pmlang import square as sq
+from pmlang import verify
 
 
 def test_twenty_four_classes():
@@ -165,6 +167,23 @@ def test_adapter_from_minimal_dfa():
                 assert machine.output(combo, obs) == maga.expected_output(
                     combo, obs
                 )
+
+
+def test_adapter_all_length_line_catches_a_redirected_transition(monkeypatch):
+    """Send the start state's edge on A to where ~A leads.  A sweep over
+    the empty string alone still passes; the check over every reachable
+    (DFA state, oracle state) pair fails, so it is not vacuous."""
+    dfa = verify.minimal_dfa()
+    row = list(dfa.delta[dfa.start])
+    row[sq.signed("A", 1).index] = row[sq.signed("A", -1).index]
+    delta = dfa.delta[: dfa.start] + (tuple(row),) + dfa.delta[dfa.start + 1 :]
+    broken = dataclasses.replace(dfa, delta=delta)
+    monkeypatch.setattr(verify, "minimal_dfa", lambda: broken)
+    suite = verify.suite_adapter(verify.VerifyConfig(exhaustive_len=0))
+    bounded, all_length = suite.checks[2:]
+    assert bounded.passed and bounded.detail == "1 strings x 9 observables, 0 wrong"
+    assert not all_length.passed
+    assert "pairs x 9 observables, 0 wrong" not in all_length.detail
 
 
 def test_adapter_rejected_both_extensions_is_an_error():

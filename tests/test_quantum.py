@@ -39,6 +39,21 @@ def test_context_products_and_commutation():
                 )
 
 
+def test_operator_law_failures_names_each_broken_law():
+    table = dict(qu.standard_square())
+    assert qu.operator_law_failures(table) == []
+    A, a = sq.OBSERVABLE_BY_NAME["A"], sq.OBSERVABLE_BY_NAME["a"]
+    table[A], table[a] = table[a], table[A]
+    assert qu.operator_law_failures(table) == [
+        "A and B do not commute in context row0",
+        "A and C do not commute in context row0",
+        "context row0 product is not +1 identity",
+        "a and b do not commute in context row1",
+        "a and c do not commute in context row1",
+        "context row1 product is not +1 identity",
+    ]
+
+
 def test_incompatible_observables_anticommute():
     """Observables sharing no line of the square fail to commute; in
     this operator assignment they anticommute outright."""

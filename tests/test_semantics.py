@@ -21,7 +21,7 @@ def states_of(text):
 def test_initial_state_is_empty():
     state = sem.initial_state()
     assert state.is_empty
-    assert sem.predicted_value(state, A) is None
+    assert state.value_of(A) is None
 
 
 def test_every_single_measurement_is_consistent():
@@ -54,9 +54,9 @@ def test_incompatible_measurement_erases():
 
 def test_predicted_values():
     after_ab = sem.final_state("A B")
-    assert sem.predicted_value(after_ab, C) == 1
-    assert sem.predicted_value(sem.final_state("A"), B) is None
-    assert sem.predicted_value(sem.final_state("A B c"), A) is None
+    assert after_ab.value_of(C) == 1
+    assert sem.final_state("A").value_of(B) is None
+    assert sem.final_state("A B c").value_of(A) is None
 
 
 def test_determined_context():
