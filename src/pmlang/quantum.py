@@ -6,26 +6,27 @@ eigenvalues +/-1; within any row or column the three operators commute
 and multiply to plus or minus the identity according to the context
 sign.  Sampling sequences of these measurements gives an independent
 physical ground truth against which the symbolic machinery is checked.
+
+Every operator is a signed permutation matrix (one entry of modulus 1
+per row), so the batched sampler applies it to a whole block of states
+by a gather and a phase, without a matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .square import (
-    CONTEXTS,
-    OBSERVABLES,
-    Observable,
-    SignedSymbol,
-    signed,
-)
+from .square import ALPHABET, CONTEXTS, OBSERVABLES, Observable, SignedSymbol
 
 TOLERANCE = 1e-12
+
+# Measurements per block of the batched sampler; see block_runs().
+BLOCK_STEPS = 1 << 10
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -66,20 +67,41 @@ class QState:
 
 @dataclass
 class PauliObservable:
-    """A square observable with its operator and spectral projectors."""
+    """A square observable with its operator, its spectral projectors and
+    its signed-permutation form: row r of the operator holds the single
+    nonzero entry ``phase[r]`` in column ``perm[r]``."""
 
     obs: Observable
     operator: np.ndarray
 
     def __post_init__(self):
         op = np.asarray(self.operator, dtype=complex)
+        name = self.obs.name
         if not np.allclose(op, op.conj().T, atol=TOLERANCE):
-            raise ValueError("observable operator must be Hermitian")
+            raise ValueError(f"the operator of {name} must be Hermitian")
         if not np.allclose(op @ op, np.eye(4), atol=TOLERANCE):
-            raise ValueError("observable operator must square to the identity")
+            raise ValueError(f"the operator of {name} must square to the identity")
+        support = np.abs(op) > TOLERANCE
+        self.perm = support.argmax(axis=1)
+        self.phase = op[np.arange(4), self.perm]
+        if not (support.sum(axis=1) == 1).all() or not np.allclose(
+            np.abs(self.phase), 1.0, atol=TOLERANCE
+        ):
+            raise ValueError(
+                f"the operator of {name} must be a signed permutation matrix"
+            )
         self.operator = op
         self.proj_plus = (np.eye(4) + op) / 2
         self.proj_minus = (np.eye(4) - op) / 2
+
+
+def pauli_table() -> dict[Observable, PauliObservable]:
+    """The nine measurement operators, not yet checked for the context
+    laws."""
+    return {
+        obs: PauliObservable(obs, np.kron(left, right))
+        for obs, (left, right) in zip(OBSERVABLES, _PAULI_WORDS)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -90,10 +112,7 @@ def standard_square() -> dict[Observable, PauliObservable]:
     product differs from sign times identity, so a wrong assignment
     cannot survive construction.
     """
-    table = {
-        obs: PauliObservable(obs, np.kron(left, right))
-        for obs, (left, right) in zip(OBSERVABLES, _PAULI_WORDS)
-    }
+    table = pauli_table()
     failures = operator_law_failures(table)
     if failures:
         raise AssertionError("; ".join(failures))
@@ -126,13 +145,18 @@ def operator_law_failures(table: dict[Observable, PauliObservable]) -> list[str]
     return failures
 
 
-def haar_random_state(rng: np.random.Generator) -> QState:
-    """A Haar-distributed pure state from normalized complex Gaussians."""
+def haar_vector(rng: np.random.Generator) -> np.ndarray:
+    """A Haar-distributed unit vector from normalized complex Gaussians."""
     while True:
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
         norm = np.linalg.norm(vec)
         if norm > 1e-6:
-            return QState(vec / norm)
+            return vec / norm
+
+
+def haar_random_state(rng: np.random.Generator) -> QState:
+    """A Haar-distributed pure state."""
+    return QState(haar_vector(rng))
 
 
 def measure(
@@ -159,17 +183,73 @@ def measure(
     return value, QState(branch / norm)
 
 
-def sample_symbols(
-    length: int, rng: np.random.Generator, state: QState | None = None
-) -> Iterator[SignedSymbol]:
-    """Measure ``length`` uniformly chosen observables in sequence,
-    yielding the outcome-labelled symbols."""
+Run = tuple[np.ndarray, Sequence[int], Sequence[float]]
+
+
+def block_runs(length: int) -> int:
+    """Runs per block of :func:`measure_runs`: BLOCK_STEPS measurements'
+    worth, and at least one, so memory stays bounded for any number and
+    length of runs."""
+    return max(1, BLOCK_STEPS // max(length, 1))
+
+
+def measure_runs(
+    runs: Iterable[Run], length: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Measure runs given as (start vector, observable indices, uniforms),
+    each with ``length`` steps, a block at a time.
+
+    Yields, per block, the observable indices and the outcomes (True for
+    +1) as (runs in block, length) arrays.  Step t measures observable
+    ``k`` with outcome +1 exactly when its uniform is below the +1
+    probability, snapped to 0 or 1 within TOLERANCE as in :func:`measure`.
+    """
     table = standard_square()
-    st = state if state is not None else haar_random_state(rng)
+    perms = np.array([table[o].perm for o in OBSERVABLES])
+    phases = np.array([table[o].phase for o in OBSERVABLES])
+    runs = iter(runs)
+    while block := list(islice(runs, block_runs(length))):
+        starts, ks, us = zip(*block)
+        psi = np.array(starts)
+        ks = np.array(ks, dtype=np.intp).reshape(len(block), length)
+        us = np.array(us, dtype=float).reshape(len(block), length)
+        rows = np.arange(len(block))[:, None]
+        plus = np.empty(ks.shape, dtype=bool)
+        for t in range(length):
+            k = ks[:, t]
+            flipped = phases[k] * psi[rows, perms[k]]
+            branch_plus = (psi + flipped) / 2
+            prob_plus = (psi.conj() * branch_plus).real.sum(axis=1)
+            prob_plus[prob_plus < TOLERANCE] = 0.0
+            prob_plus[prob_plus > 1.0 - TOLERANCE] = 1.0
+            plus[:, t] = hit = us[:, t] < prob_plus
+            branch = np.where(hit[:, None], branch_plus, (psi - flipped) / 2)
+            norm = np.linalg.norm(branch, axis=1)
+            if (norm < TOLERANCE).any():
+                raise AssertionError("projected onto a zero-probability branch")
+            psi = branch / norm[:, None]
+        yield ks, plus
+
+
+def _draw_run(rng: np.random.Generator, length: int) -> Run:
+    """A start state, then per step a uniform observable and a uniform
+    number, in the order the sampler has always drawn them."""
+    start = haar_vector(rng)
+    integers, uniform = rng.integers, rng.random
+    ks, us = [], []
     for _ in range(length):
-        obs = OBSERVABLES[rng.integers(len(OBSERVABLES))]
-        value, st = measure(st, table[obs], rng)
-        yield signed(obs, value)
+        ks.append(integers(len(OBSERVABLES)))
+        us.append(uniform())
+    return start, ks, us
+
+
+def _symbols(
+    runs: Iterable[Run], length: int
+) -> Iterator[tuple[SignedSymbol, ...]]:
+    for ks, plus in measure_runs(runs, length):
+        # ALPHABET lists each observable's +1 symbol before its -1 symbol
+        for codes in (2 * ks + ~plus).tolist():
+            yield tuple(map(ALPHABET.__getitem__, codes))
 
 
 def sample_run(length: int, seed: int) -> tuple[SignedSymbol, ...]:
@@ -177,13 +257,17 @@ def sample_run(length: int, seed: int) -> tuple[SignedSymbol, ...]:
     if length < 0:
         raise ValueError("length must be non-negative")
     rng = np.random.default_rng(seed)
-    return tuple(sample_symbols(length, rng))
+    return next(_symbols([_draw_run(rng, length)], length))
 
 
 def sample_many(
     runs: int, length: int, seed: int
 ) -> Iterator[tuple[SignedSymbol, ...]]:
-    """Independent reproducible runs via spawned per-run rng streams."""
-    for seq in np.random.SeedSequence(seed).spawn(runs):
-        rng = np.random.default_rng(seq)
-        yield tuple(sample_symbols(length, rng))
+    """Independent reproducible runs via spawned per-run rng streams,
+    measured a block at a time."""
+    root = np.random.SeedSequence(seed)
+    draws = (
+        _draw_run(np.random.default_rng(root.spawn(1)[0]), length)
+        for _ in range(runs)
+    )
+    yield from _symbols(draws, length)

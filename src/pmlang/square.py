@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 OBSERVABLE_NAMES = ("A", "B", "C", "a", "b", "c", "alpha", "beta", "gamma")
@@ -34,10 +34,10 @@ class Observable:
     name: str
     row: int
     col: int
+    index: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def index(self) -> int:
-        return 3 * self.row + self.col
+    def __post_init__(self):
+        object.__setattr__(self, "index", 3 * self.row + self.col)
 
     def __repr__(self) -> str:
         return f"Observable({self.name})"
@@ -120,11 +120,13 @@ class SignedSymbol:
 
     obs: Observable
     value: int  # +1 or -1
+    # position in the canonical 18-symbol alphabet order
+    index: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def index(self) -> int:
-        """Position in the canonical 18-symbol alphabet order."""
-        return 2 * self.obs.index + (0 if self.value == 1 else 1)
+    def __post_init__(self):
+        object.__setattr__(
+            self, "index", 2 * self.obs.index + (0 if self.value == 1 else 1)
+        )
 
     @property
     def token(self) -> str:

@@ -587,14 +587,20 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     result = SuiteResult("quantum")
-    table = quantum.standard_square()
-    failures = quantum.operator_law_failures(table)
+    # the unchecked table, so that a broken operator fails this line
+    # instead of raising in standard_square()
+    try:
+        failures = quantum.operator_law_failures(quantum.pauli_table())
+    except ValueError as err:  # an operator PauliObservable refuses
+        failures = [str(err)]
     result.add(
         "operators are involutions; contexts commute and multiply to the "
         "context sign",
         not failures,
         "; ".join(failures),
     )
+    if failures:
+        return result  # every check below measures with these operators
 
     inconsistent = 0
     determined_checked = 0
@@ -626,18 +632,24 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
         f"{determined_checked} determined predictions, {determined_wrong} wrong",
     )
 
+    # Each trial draws a fresh state and then measures one observable;
+    # no draw depends on a state, so the trials are measured in blocks.
+    seqs = np.random.SeedSequence(cfg.seed + 4).spawn(len(OBSERVABLES))
+
+    def first_measurements():
+        for obs, seq in zip(OBSERVABLES, seqs):
+            rng = np.random.default_rng(seq)
+            for _ in range(cfg.quantum_trials):
+                start = quantum.haar_vector(rng)
+                yield start, (obs.index,), (rng.random(),)
+
+    plus = np.zeros(len(OBSERVABLES), dtype=int)
+    for ks, outcomes in quantum.measure_runs(first_measurements(), 1):
+        plus += np.bincount(ks[outcomes], minlength=len(OBSERVABLES))
     freq_ok = True
     details = []
-    seqs = np.random.SeedSequence(cfg.seed + 4).spawn(len(OBSERVABLES))
-    for obs, seq in zip(OBSERVABLES, seqs):
-        rng = np.random.default_rng(seq)
-        plus = 0
-        for _ in range(cfg.quantum_trials):
-            st = quantum.haar_random_state(rng)
-            value, _ = quantum.measure(st, table[obs], rng)
-            if value == 1:
-                plus += 1
-        freq = plus / cfg.quantum_trials
+    for obs in OBSERVABLES:
+        freq = plus[obs.index] / cfg.quantum_trials
         if not (0.4 <= freq <= 0.6):
             freq_ok = False
             details.append(f"{obs.name}: {freq:.3f}")
@@ -648,17 +660,22 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
         "; ".join(details) if details else "all within bounds",
     )
 
-    law_ok = True
     rng = np.random.default_rng(cfg.seed + 5)
-    for ctx in CONTEXTS:
-        for _ in range(200):
-            st = quantum.haar_random_state(rng)
-            prod = 1
-            for obs in ctx.members:
-                value, st = quantum.measure(st, table[obs], rng)
-                prod *= value
-            if prod != ctx.sign:
-                law_ok = False
+    per_context = 200
+
+    def context_runs():
+        for ctx in CONTEXTS:
+            ks = [obs.index for obs in ctx.members]
+            for _ in range(per_context):
+                start = quantum.haar_vector(rng)
+                yield start, ks, [rng.random() for _ in ks]
+
+    products = np.concatenate([
+        np.where(outcomes, 1, -1).prod(axis=1)
+        for _, outcomes in quantum.measure_runs(context_runs(), 3)
+    ])
+    signs = np.repeat([ctx.sign for ctx in CONTEXTS], per_context)
+    law_ok = bool((products == signs).all())
     result.add(
         "measuring a full context in sequence multiplies to the context sign",
         law_ok,
@@ -667,6 +684,7 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 6)
     st = quantum.haar_random_state(rng)
     drift = 0.0
+    table = quantum.standard_square()
     for _ in range(1000):
         obs = OBSERVABLES[rng.integers(9)]
         _, st = quantum.measure(st, table[obs], rng)

@@ -1,12 +1,17 @@
 """Command-line behaviour: exit codes, byte-exact traces for the two
 reference strings, machine formats, and seeded reproducibility."""
 
+import contextlib
+import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmlang import cli
+from pmlang import cli, quantum
 
 CONSISTENT_TRACE = """\
 step  token   observable  value  determined after step
@@ -174,6 +179,75 @@ def test_sample_is_reproducible_and_checked():
     assert code_a == code_b == 0
     assert text_a == text_b
     assert len(text_a.splitlines()) == 4
+
+
+def test_sample_output_is_pinned():
+    code, text = invoke(
+        ["sample", "--length", "12", "--runs", "5000", "--seed", "20240817", "--check"]
+    )
+    assert code == 0
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "cfca7be9e5fb3d16e45f3ef395dab98e196776c846b4952b4119812c402ad823"
+    )
+
+
+@given(st.integers(-3, 40), st.integers(-3, 40), st.integers(-3, 40))
+@settings(max_examples=60, deadline=None)
+def test_sample_arguments_give_runs_or_one_refusal_line(length, runs, seed):
+    argv = ["sample", "--length", str(length), "--runs", str(runs)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = invoke([*argv, "--seed", str(seed), "--check"])
+    assert code in (0, 2)
+    if code == 2:
+        assert text == ""
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        lines = text.splitlines()
+        assert len(lines) == runs
+        assert all(len(line.split()) == length for line in lines)
+
+
+WORDS = quantum._PAULI_WORDS
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "words, detail",
+    [
+        (
+            (WORDS[3], *WORDS[1:3], WORDS[0], *WORDS[4:]),  # A and a swapped
+            "A and B do not commute in context row0; "
+            "A and C do not commute in context row0; "
+            "context row0 product is not +1 identity; "
+            "a and b do not commute in context row1; "
+            "a and c do not commute in context row1; "
+            "context row1 product is not +1 identity",
+        ),
+        (
+            ((HADAMARD, np.eye(2)), *WORDS[1:]),
+            "the operator of A must be a signed permutation matrix",
+        ),
+    ],
+)
+def test_verify_reports_a_broken_operator_table(words, detail, monkeypatch, capsys):
+    quantum.standard_square.cache_clear()
+    monkeypatch.setattr(quantum, "_PAULI_WORDS", words)
+    try:
+        code, text = invoke(["verify", "--suite", "quantum", "--seed", "1"])
+    finally:
+        monkeypatch.undo()
+        quantum.standard_square.cache_clear()
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert text == (
+        "[suite quantum]\n"
+        "FAIL operators are involutions; contexts commute and multiply to the "
+        f"context sign ({detail})\n"
+        "[summary] 0/1 checks passed\n"
+    )
 
 
 def test_verify_fast_suites_pass():

@@ -167,6 +167,62 @@ def test_normalization_is_preserved():
         assert abs(state.norm() - 1.0) <= qu.TOLERANCE
 
 
+def test_signed_permutation_form_reproduces_each_operator():
+    psi = qu.haar_vector(np.random.default_rng(5))
+    for pauli in qu.standard_square().values():
+        assert np.allclose(
+            pauli.phase * psi[pauli.perm], pauli.operator @ psi, atol=qu.TOLERANCE
+        )
+
+
+def test_pauli_observable_refuses_a_non_permutation_involution():
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    op = np.kron(hadamard, np.eye(2))
+    assert np.allclose(op, op.conj().T) and np.allclose(op @ op, np.eye(4))
+    with pytest.raises(ValueError, match="signed permutation"):
+        qu.PauliObservable(sq.OBSERVABLES[0], op)
+
+
+def test_batched_repeat_is_determined_at_extreme_uniforms():
+    """A repeated measurement has probability 0 or 1 up to rounding; the
+    snap must make the outcome repeat even for uniforms 0 and 1 - 2**-53."""
+    rng = np.random.default_rng(8)
+    runs = [
+        (qu.haar_vector(rng), [k, k, k], [rng.random(), 0.0, 1.0 - 2.0**-53])
+        for k in rng.integers(9, size=200)
+    ]
+    for _, outcomes in qu.measure_runs(runs, 3):
+        assert (outcomes[:, 1:] == outcomes[:, :1]).all()
+
+
+def _chained_measure(rng, length):
+    """The single-state sampler: a Haar state, then measure() chained
+    step by step, drawing in the sampler's order."""
+    table = qu.standard_square()
+    state = qu.haar_random_state(rng)
+    run = []
+    for _ in range(length):
+        obs = sq.OBSERVABLES[rng.integers(9)]
+        value, state = qu.measure(state, table[obs], rng)
+        run.append(sq.signed(obs, value))
+    return tuple(run)
+
+
+@pytest.mark.parametrize("length", [0, 1, 40])
+def test_batched_sampler_equals_chained_measure(length):
+    seed = 20240817 + length
+    block = qu.block_runs(length)
+    reference = [
+        _chained_measure(np.random.default_rng(seq), length)
+        for seq in np.random.SeedSequence(seed).spawn(block + 1)
+    ]
+    for runs in (0, 1, block - 1, block, block + 1):
+        assert list(qu.sample_many(runs, length, seed)) == reference[:runs]
+    assert qu.sample_run(length, 99) == _chained_measure(
+        np.random.default_rng(99), length
+    )
+
+
 def test_qstate_rejects_unnormalized_vectors():
     with pytest.raises(ValueError):
         qu.QState(np.array([1, 1, 0, 0], dtype=complex))
