@@ -18,11 +18,10 @@ information density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable
 
 from . import semantics
 from .automata import Dfa
@@ -57,26 +56,18 @@ class ClassTriple:
     context: Context
     first_value: int
     second_value: int
-    _assignment: Mapping[Observable, int] = field(
-        init=False, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        m = self.context.members
-        assignment = {
-            m[0]: self.first_value,
-            m[1]: self.second_value,
-            m[2]: self.third_value,
-        }
-        object.__setattr__(self, "_assignment", MappingProxyType(assignment))
 
     @property
     def third_value(self) -> int:
         return self.context.sign * self.first_value * self.second_value
 
-    def full_assignment(self) -> Mapping[Observable, int]:
-        """The three context values, built once per triple."""
-        return self._assignment
+    def full_assignment(self) -> dict[Observable, int]:
+        m = self.context.members
+        return {
+            m[0]: self.first_value,
+            m[1]: self.second_value,
+            m[2]: self.third_value,
+        }
 
     def describe(self) -> str:
         return (
@@ -94,14 +85,6 @@ def all_class_triples() -> tuple[ClassTriple, ...]:
         for v1 in (1, -1)
         for v2 in (1, -1)
     )
-
-
-@lru_cache(maxsize=None)
-def _triple_by_values() -> dict[tuple[str, int, int], ClassTriple]:
-    return {
-        (t.context.name, t.first_value, t.second_value): t
-        for t in all_class_triples()
-    }
 
 
 def classify(w: str | Iterable[SignedSymbol]) -> ClassTriple:
@@ -125,7 +108,7 @@ def class_of(state: semantics.DeterminationState) -> ClassTriple | None:
     if found is None:
         return None
     ctx, vals = found
-    return _triple_by_values()[ctx.name, vals[0], vals[1]]
+    return ClassTriple(ctx, vals[0], vals[1])
 
 
 @lru_cache(maxsize=None)

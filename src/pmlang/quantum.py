@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from .square import ALPHABET, CONTEXTS, OBSERVABLES, Observable, SignedSymbol
 
 TOLERANCE = 1e-12
 
-# Measurements per block of the batched sampler; see block_runs().
+# Measurements per block of the batched sampler, and the fewest runs
+# in a block; see block_runs().
 BLOCK_STEPS = 1 << 10
+MIN_BLOCK_RUNS = 8
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,64 +185,78 @@ def measure(
     return value, QState(branch / norm)
 
 
-Run = tuple[np.ndarray, Sequence[int], Sequence[float]]
+# A run to measure: its start vector, then its steps as (observable
+# index, uniform) pairs.
+Run = tuple[np.ndarray, Iterable[tuple[int, float]]]
 
 
 def block_runs(length: int) -> int:
     """Runs per block of :func:`measure_runs`: BLOCK_STEPS measurements'
-    worth, and at least one, so memory stays bounded for any number and
-    length of runs."""
-    return max(1, BLOCK_STEPS // max(length, 1))
+    worth, and at least MIN_BLOCK_RUNS, so that each numpy step of a long
+    run also advances other runs."""
+    return max(MIN_BLOCK_RUNS, BLOCK_STEPS // max(length, 1))
 
 
 def measure_runs(
     runs: Iterable[Run], length: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Measure runs given as (start vector, observable indices, uniforms),
-    each with ``length`` steps, a block at a time.
+    """Measure runs of ``length`` steps each, a block at a time.
 
     Yields, per block, the observable indices and the outcomes (True for
     +1) as (runs in block, length) arrays.  Step t measures observable
     ``k`` with outcome +1 exactly when its uniform is below the +1
     probability, snapped to 0 or 1 within TOLERANCE as in :func:`measure`.
+
+    Steps are taken from each run of a block about BLOCK_STEPS // block
+    at a time, so the draws held at once stay bounded for any length.
+    Runs whose steps come lazily from one shared generator would be
+    drawn out of order; draw those before passing them in.
     """
     table = standard_square()
     perms = np.array([table[o].perm for o in OBSERVABLES])
     phases = np.array([table[o].phase for o in OBSERVABLES])
     runs = iter(runs)
     while block := list(islice(runs, block_runs(length))):
-        starts, ks, us = zip(*block)
+        starts, steps = zip(*block)
+        steps = [iter(s) for s in steps]
         psi = np.array(starts)
-        ks = np.array(ks, dtype=np.intp).reshape(len(block), length)
-        us = np.array(us, dtype=float).reshape(len(block), length)
-        rows = np.arange(len(block))[:, None]
-        plus = np.empty(ks.shape, dtype=bool)
-        for t in range(length):
-            k = ks[:, t]
-            flipped = phases[k] * psi[rows, perms[k]]
-            branch_plus = (psi + flipped) / 2
-            prob_plus = (psi.conj() * branch_plus).real.sum(axis=1)
-            prob_plus[prob_plus < TOLERANCE] = 0.0
-            prob_plus[prob_plus > 1.0 - TOLERANCE] = 1.0
-            plus[:, t] = hit = us[:, t] < prob_plus
-            branch = np.where(hit[:, None], branch_plus, (psi - flipped) / 2)
-            norm = np.linalg.norm(branch, axis=1)
-            if (norm < TOLERANCE).any():
-                raise AssertionError("projected onto a zero-probability branch")
-            psi = branch / norm[:, None]
-        yield ks, plus
+        offsets = 4 * np.arange(len(block))[:, None]
+        ks = np.empty((length, len(block)), dtype=np.uint8)
+        plus = np.empty((length, len(block)), dtype=bool)
+        chunk = max(1, BLOCK_STEPS // len(block))
+        for t0 in range(0, length, chunk):
+            drawn = np.array([list(islice(s, chunk)) for s in steps])
+            k = ks[t0:t0 + drawn.shape[1]]
+            k[...] = drawn[:, :, 0].T
+            us = np.ascontiguousarray(drawn[:, :, 1].T)
+            # per step and run: where in the flattened psi op·psi reads
+            # each amplitude, and the phase it multiplies it by
+            gather = perms[k] + offsets
+            phase = phases[k]
+            for t, u in enumerate(us):
+                flipped = phase[t] * psi.take(gather[t])
+                # twice each branch; halving would not change the
+                # normalised state
+                twice_plus = psi + flipped
+                prob_plus = (psi.conj() * twice_plus).real.sum(axis=1) / 2
+                prob_plus[prob_plus < TOLERANCE] = 0.0
+                prob_plus[prob_plus > 1.0 - TOLERANCE] = 1.0
+                plus[t0 + t] = hit = u < prob_plus
+                branch = np.where(hit[:, None], twice_plus, psi - flipped)
+                norm = np.sqrt((branch.conj() * branch).real.sum(axis=1))
+                if norm.min() < 2 * TOLERANCE:
+                    raise AssertionError("projected onto a zero-probability branch")
+                psi = branch / norm[:, None]
+        yield ks.T, plus.T
 
 
 def _draw_run(rng: np.random.Generator, length: int) -> Run:
-    """A start state, then per step a uniform observable and a uniform
-    number, in the order the sampler has always drawn them."""
+    """A start state, drawn now, then per step a uniform observable and a
+    uniform number, drawn as the steps are taken, in the order the
+    sampler has always drawn them."""
     start = haar_vector(rng)
-    integers, uniform = rng.integers, rng.random
-    ks, us = [], []
-    for _ in range(length):
-        ks.append(integers(len(OBSERVABLES)))
-        us.append(uniform())
-    return start, ks, us
+    integers, uniform, count = rng.integers, rng.random, len(OBSERVABLES)
+    return start, ((integers(count), uniform()) for _ in range(length))
 
 
 def _symbols(

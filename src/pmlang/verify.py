@@ -641,7 +641,7 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
             rng = np.random.default_rng(seq)
             for _ in range(cfg.quantum_trials):
                 start = quantum.haar_vector(rng)
-                yield start, (obs.index,), (rng.random(),)
+                yield start, [(obs.index, rng.random())]
 
     plus = np.zeros(len(OBSERVABLES), dtype=int)
     for ks, outcomes in quantum.measure_runs(first_measurements(), 1):
@@ -668,7 +668,7 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
             ks = [obs.index for obs in ctx.members]
             for _ in range(per_context):
                 start = quantum.haar_vector(rng)
-                yield start, ks, [rng.random() for _ in ks]
+                yield start, [(k, rng.random()) for k in ks]
 
     products = np.concatenate([
         np.where(outcomes, 1, -1).prod(axis=1)

@@ -188,7 +188,7 @@ def test_batched_repeat_is_determined_at_extreme_uniforms():
     snap must make the outcome repeat even for uniforms 0 and 1 - 2**-53."""
     rng = np.random.default_rng(8)
     runs = [
-        (qu.haar_vector(rng), [k, k, k], [rng.random(), 0.0, 1.0 - 2.0**-53])
+        (qu.haar_vector(rng), [(k, rng.random()), (k, 0.0), (k, 1.0 - 2.0**-53)])
         for k in rng.integers(9, size=200)
     ]
     for _, outcomes in qu.measure_runs(runs, 3):
@@ -208,7 +208,7 @@ def _chained_measure(rng, length):
     return tuple(run)
 
 
-@pytest.mark.parametrize("length", [0, 1, 40])
+@pytest.mark.parametrize("length", [0, 1, 40, 300])
 def test_batched_sampler_equals_chained_measure(length):
     seed = 20240817 + length
     block = qu.block_runs(length)
