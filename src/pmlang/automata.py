@@ -107,104 +107,58 @@ def determinize(nfa: Nfa) -> Dfa:
     """
     if nfa.alphabet != ALPHABET:
         raise ValueError("expected the canonical 18-symbol alphabet")
-    start = frozenset([nfa.start])
-    ids: dict[frozenset, int] = {start: 0}
-    order: list[frozenset] = [start]
-    rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        row = []
-        for sym in nfa.alphabet:
-            succ = nfa.step(subset, sym)
-            if succ not in ids:
-                ids[succ] = len(order)
-                order.append(succ)
-            row.append(ids[succ])
-        rows.append(tuple(row))
-        i += 1
-    accepting = frozenset(
-        ids[s] for s in order if s & nfa.accepting
-    )
-    dead = ids.get(_EMPTY)
-    return Dfa(nfa.alphabet, tuple(rows), 0, accepting, dead)
+    rows: dict[frozenset, tuple[frozenset, ...]] = {}
+    # one object per distinct subset, so the rows hold no equal copies
+    canonical: dict[frozenset, frozenset] = {}
+
+    def successors(subset: frozenset) -> tuple[frozenset, ...]:
+        row = (nfa.step(subset, sym) for sym in nfa.alphabet)
+        rows[subset] = tuple(canonical.setdefault(s, s) for s in row)
+        return rows[subset]
+
+    order = reachable(successors, frozenset([nfa.start]))
+    ids = {subset: i for i, subset in enumerate(order)}
+    delta = tuple(tuple(ids[succ] for succ in rows[subset]) for subset in order)
+    accepting = frozenset(i for i, subset in enumerate(order) if subset & nfa.accepting)
+    return Dfa(nfa.alphabet, delta, 0, accepting, ids.get(_EMPTY))
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Language-equivalent minimal DFA via Hopcroft partition refinement.
+    """Language-equivalent minimal DFA via Moore partition refinement
+    (Moore 1956).
 
-    Unreachable states are pruned first; the refined partition is then
-    renumbered by BFS from the start block so the output is canonical.
-    Idempotent up to that renumbering.
+    Unreachable states are pruned first.  Starting from the accepting
+    and non-accepting blocks, each round relabels every state by its
+    block and its successors' blocks, until a round adds no block.  The
+    blocks are then renumbered by BFS from the start block, so the
+    output is canonical.  Idempotent up to that renumbering.
     """
-    reach = reachable(lambda q: dfa.delta[q], dfa.start)
-    reach_set = set(reach)
-    n_sym = len(dfa.alphabet)
-
-    # inverse transition map restricted to reachable states
-    preimage: dict[tuple[int, int], set[int]] = {}
-    for q in reach:
-        for k in range(n_sym):
-            preimage.setdefault((dfa.delta[q][k], k), set()).add(q)
-
-    final = frozenset(q for q in reach if q in dfa.accepting)
-    nonfinal = frozenset(reach_set - final)
-    partition: set[frozenset[int]] = {b for b in (final, nonfinal) if b}
-    block_of = {q: b for b in partition for q in b}
-    worklist: set[frozenset[int]] = set()
-    if final and nonfinal:
-        worklist.add(final if len(final) <= len(nonfinal) else nonfinal)
-
-    while worklist:
-        splitter = worklist.pop()
-        for k in range(n_sym):
-            movers: set[int] = set()
-            for target in splitter:
-                movers |= preimage.get((target, k), set())
-            if not movers:
-                continue
-            affected: dict[frozenset[int], set[int]] = {}
-            for q in movers:
-                affected.setdefault(block_of[q], set()).add(q)
-            for block, inside in affected.items():
-                if len(inside) == len(block):
-                    continue
-                part_in = frozenset(inside)
-                part_out = block - part_in
-                partition.remove(block)
-                partition.add(part_in)
-                partition.add(part_out)
-                for q in part_in:
-                    block_of[q] = part_in
-                for q in part_out:
-                    block_of[q] = part_out
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.add(part_in)
-                    worklist.add(part_out)
-                else:
-                    worklist.add(
-                        part_in if len(part_in) <= len(part_out) else part_out
-                    )
-
-    # renumber blocks canonically by BFS from the start block
-    order = reachable(
-        lambda block: [block_of[q] for q in dfa.delta[next(iter(block))]],
-        block_of[dfa.start],
-    )
-    ids = {block: i for i, block in enumerate(order)}
-
-    rows = []
-    for block in order:
-        rep = next(iter(block))
-        rows.append(tuple(ids[block_of[dfa.delta[rep][k]]] for k in range(n_sym)))
-    accepting = frozenset(ids[b] for b in order if next(iter(b)) in dfa.accepting)
-    dead = None
-    for b, bid in ids.items():
-        if bid not in accepting and all(s == bid for s in rows[bid]):
-            dead = bid
+    reach = reachable(dfa.delta.__getitem__, dfa.start)
+    block = {q: q in dfa.accepting for q in reach}
+    while True:
+        labels: dict[tuple, int] = {}
+        refined = {
+            q: labels.setdefault(
+                (block[q], tuple(block[s] for s in dfa.delta[q])), len(labels)
+            )
+            for q in reach
+        }
+        if len(labels) == len(set(block.values())):
             break
-    return Dfa(dfa.alphabet, tuple(rows), 0, accepting, dead)
+        block = refined
+
+    rep = {block[q]: q for q in reach}  # any member: the blocks are stable
+    order = reachable(
+        lambda b: [block[s] for s in dfa.delta[rep[b]]], block[dfa.start]
+    )
+    ids = {b: i for i, b in enumerate(order)}
+    rows = tuple(tuple(ids[block[s]] for s in dfa.delta[rep[b]]) for b in order)
+    accepting = frozenset(ids[b] for b in order if rep[b] in dfa.accepting)
+    dead = next(
+        (i for i, row in enumerate(rows) if i not in accepting and set(row) == {i}),
+        None,
+    )
+    return Dfa(dfa.alphabet, rows, 0, accepting, dead)
 
 
 @dataclass(frozen=True)
@@ -322,15 +276,14 @@ def hv_bits(report: CountReport) -> HvBitCurve:
 def shortest_words(dfa: Dfa) -> dict[int, tuple[SignedSymbol, ...]]:
     """A shortest word reaching each state, by BFS; used for labelling."""
     words: dict[int, tuple[SignedSymbol, ...]] = {dfa.start: ()}
-    queue = [dfa.start]
-    i = 0
-    while i < len(queue):
-        q = queue[i]
-        for k, succ in enumerate(dfa.delta[q]):
+
+    def successors(q: int) -> tuple[int, ...]:
+        for sym, succ in zip(dfa.alphabet, dfa.delta[q]):
             if succ not in words:
-                words[succ] = words[q] + (dfa.alphabet[k],)
-                queue.append(succ)
-        i += 1
+                words[succ] = words[q] + (sym,)
+        return dfa.delta[q]
+
+    reachable(successors, dfa.start)
     return words
 
 

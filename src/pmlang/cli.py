@@ -134,9 +134,8 @@ def _semantic_labels(dfa: automata.Dfa) -> dict[int, str]:
 
 
 def cmd_dfa(args, out) -> int:
-    dfa = verify.minimal_dfa() if not args.raw else automata.determinize(
-        grammar.to_nfa()
-    )
+    _, raw, minimal = verify._pipeline()
+    dfa = raw if args.raw else minimal
     if args.emit == "dot":
         text = automata.to_dot(dfa, _semantic_labels(dfa))
     else:
@@ -163,17 +162,26 @@ def cmd_dfa(args, out) -> int:
 # ------------------------------------------------------------ count
 
 
-def cmd_count(args, out) -> int:
-    report = automata.count_words(verify.minimal_dfa(), args.max_length)
+def _printable(value: int, what: str) -> bool:
+    """Whether ``value`` converts to str under the interpreter's digit
+    limit; if not, one line on stderr says so."""
     try:
-        str(report.cumulative[-1])  # the largest value in any row
+        str(value)
     except ValueError:
         print(
-            f"error: counts at --max-length {args.max_length} have more digits "
-            f"than the int-to-str limit sys.get_int_max_str_digits() = "
-            f"{sys.get_int_max_str_digits()}; set PYTHONINTMAXSTRDIGITS to raise it",
+            f"error: {what} have more digits than the int-to-str limit "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}; "
+            "set PYTHONINTMAXSTRDIGITS to raise it",
             file=sys.stderr,
         )
+        return False
+    return True
+
+
+def cmd_count(args, out) -> int:
+    report = automata.count_words(verify.minimal_dfa(), args.max_length)
+    largest = report.cumulative[-1]  # the largest value in any row
+    if not _printable(largest, f"counts at --max-length {args.max_length}"):
         return 2
     curve = automata.hv_bits(report)
     headers = ["n", "count", "cumulative", "bits"]
@@ -190,7 +198,6 @@ def cmd_count(args, out) -> int:
 
 
 def cmd_bound(args, out) -> int:
-    reports = [maga.scaling_report(n) for n in range(1, args.qubits + 1)]
     headers = [
         "qubits",
         "contexts",
@@ -200,27 +207,30 @@ def cmd_bound(args, out) -> int:
         "density",
         "density_floor",
     ]
-    rows = [
-        [
-            r.qubits,
-            r.contexts,
-            r.context_size,
-            r.lower_bound,
-            r.simplified_bound,
-            f"{r.density:.6f}" if args.format == "table" else r.density,
-            f"{r.density_floor:.6f}" if args.format == "table" else r.density_floor,
-        ]
-        for r in reports
-    ]
+    rows = []
+    for r in maga.scaling_reports(args.qubits):
+        # lower_bound is the largest cell, and grows with the row
+        if not _printable(r.lower_bound, f"bounds at --qubits {args.qubits}"):
+            return 2
+        rows.append(
+            [
+                r.qubits,
+                r.contexts,
+                r.context_size,
+                r.lower_bound,
+                r.simplified_bound,
+                f"{r.density:.6f}" if args.format == "table" else r.density,
+                f"{r.density_floor:.6f}" if args.format == "table" else r.density_floor,
+            ]
+        )
     _emit_rows(headers, rows, args.format, out)
     return 0
 
 
 def cmd_density(args, out) -> int:
-    reports = [maga.scaling_report(n) for n in range(1, args.qubits + 1)]
     headers = ["qubits", "density", "density_floor", "gap", "violates_holevo"]
     rows = []
-    for r in reports:
+    for r in maga.scaling_reports(args.qubits):
         if args.format == "table":
             rows.append(
                 [

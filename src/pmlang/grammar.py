@@ -150,9 +150,6 @@ class Grammar:
                 rule.emitted, []
             ).append(rule)
 
-    def rules_with_schema(self, schema: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.schema == schema)
-
     def dump_lines(self) -> list[str]:
         return [rule.render() for rule in self.rules]
 

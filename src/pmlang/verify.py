@@ -272,14 +272,7 @@ def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
     for _ in range(cfg.random_strings):
         w = _random_string(rng, cfg.random_max_len)
         # maximal consistent prefix of a random string
-        st = semantics.EMPTY_STATE
-        good = 0
-        for sym in w:
-            res = semantics.step(st, sym)
-            if res.state is None:
-                break
-            st = res.state
-            good += 1
+        good = len(semantics.trace(w).states)
         prefix = w[:good]
         if not all(semantics.is_consistent(prefix[:k]) for k in range(good + 1)):
             prefix_bad += 1
@@ -555,7 +548,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteResult:
         f"{got}",
     )
 
-    reports = [maga.scaling_report(n) for n in range(1, cfg.qubits_max + 1)]
+    reports = list(maga.scaling_reports(cfg.qubits_max))
     result.add(
         f"exact bound dominates its simplification for 1..{cfg.qubits_max} "
         "qubits",
@@ -608,18 +601,15 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     for run in quantum.sample_many(
         cfg.quantum_runs, cfg.quantum_run_len, cfg.seed + 3
     ):
-        state = semantics.EMPTY_STATE
-        for sym in run:
+        traced = semantics.trace(run)
+        inconsistent += not traced.consistent
+        # the state before each step, up to and including a clash
+        before = (semantics.EMPTY_STATE, *traced.states)
+        for state, sym in zip(before, traced.symbols):
             predicted = state.value_of(sym.obs)
             if predicted is not None:
                 determined_checked += 1
-                if predicted != sym.value:
-                    determined_wrong += 1
-            res = semantics.step(state, sym)
-            if res.state is None:
-                inconsistent += 1
-                break
-            state = res.state
+                determined_wrong += predicted != sym.value
     result.add(
         f"{cfg.quantum_runs} sampled runs of length {cfg.quantum_run_len} "
         "are all consistent",

@@ -77,6 +77,36 @@ def test_minimize_preserves_the_language():
             assert (q in m.accepting) == (state is not None)
 
 
+def test_minimize_prunes_merges_and_renumbers_a_hand_built_dfa():
+    # 0 start; 1 dead sink; 2 and 3 equivalent accepting states;
+    # 4 unreachable.  Symbol 0 leads to 2 and symbol 1 to 3.
+    others = (1,) * 16
+    dfa = au.Dfa(
+        sq.ALPHABET,
+        ((2, 3, *others), (1,) * 18, (1,) * 18, (1,) * 18, (0,) * 18),
+        start=0,
+        accepting=frozenset({2, 3, 4}),
+    )
+    m = au.minimize(dfa)
+    assert m.delta == ((1, 1, *(2,) * 16), (2,) * 18, (2,) * 18)
+    assert m.start == 0
+    assert m.accepting == frozenset({1})
+    assert m.dead == 2
+
+
+def test_minimize_an_all_accepting_dfa_to_one_state():
+    dfa = au.Dfa(
+        sq.ALPHABET,
+        tuple(((q + 1) % 3,) * 18 for q in range(3)),
+        start=0,
+        accepting=frozenset(range(3)),
+    )
+    m = au.minimize(dfa)
+    assert m.delta == ((0,) * 18,)
+    assert m.accepting == frozenset({0})
+    assert m.dead is None
+
+
 def independent_equivalence_class_count(depth: int) -> int:
     """Count state-equivalence classes of the operational transition
     graph, distinguishing states by the strings of length <= depth they

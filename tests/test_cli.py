@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmlang import cli, quantum
+from pmlang.square import parse_string
 
 CONSISTENT_TRACE = """\
 step  token   observable  value  determined after step
@@ -250,6 +251,15 @@ def test_verify_reports_a_broken_operator_table(words, detail, monkeypatch, caps
     )
 
 
+def test_verify_reports_an_inconsistent_sampled_run(monkeypatch):
+    clash = parse_string("A ~A")  # the clash step is checked against A=+1
+    monkeypatch.setattr(quantum, "sample_many", lambda runs, length, seed: [clash])
+    code, text = invoke("verify --suite quantum --seed 1 --quantum-trials 1".split())
+    assert code == 1
+    assert "are all consistent (1 inconsistent runs)" in text
+    assert "(1 determined predictions, 1 wrong)" in text
+
+
 def test_verify_fast_suites_pass():
     code, text = invoke(["verify", "--suite", "parity", "--seed", "1"])
     assert code == 0
@@ -290,6 +300,7 @@ def test_verify_with_reduced_depths():
         "(67104 strings x 9 observables, 0 wrong; 143 full-interface spot checks)",
         "(5239 strings x 9 observables, 0 wrong)",
         "(43 pairs x 9 observables, 0 wrong; 11 full-interface spot checks)",
+        "(6286 determined predictions, 0 wrong)",
     ):
         assert detail in text
 
@@ -321,6 +332,7 @@ def test_verify_rejects_out_of_range_settings(argv, capsys):
         ["sample", "--length", "3", "--runs", "-1", "--seed", "1"],
         ["sample", "--length", "3", "--seed", "-1"],
         ["count", "--max-length", "3656"],
+        ["bound", "--qubits", "200"],
     ],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
@@ -333,11 +345,32 @@ def test_out_of_range_arguments_exit_two(argv, capsys):
 
 
 def test_count_refusal_names_the_digit_limit(capsys):
-    code, _ = invoke(["count", "--max-length", "3656", "--format", "json"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "sys.get_int_max_str_digits()" in err
-    assert "PYTHONINTMAXSTRDIGITS" in err
+    for argv in (["count", "--max-length", "3656"], ["bound", "--qubits", "168"]):
+        code, _ = invoke([*argv, "--format", "json"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "sys.get_int_max_str_digits()" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
+
+@given(
+    st.sampled_from(["bound", "density"]),
+    st.integers(-3, 250),
+    st.sampled_from(cli.FORMATS),
+)
+@settings(max_examples=60, deadline=None)
+def test_bound_and_density_give_rows_or_one_refusal_line(command, qubits, fmt):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = invoke([command, "--qubits", str(qubits), "--format", fmt])
+    assert code in (0, 2)
+    if code == 2:
+        assert text == ""
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        rows = json.loads(text)["rows"] if fmt == "json" else text.splitlines()[1:]
+        assert len(rows) == qubits
 
 
 def test_run_suites_rejects_unknown_names():

@@ -221,6 +221,12 @@ def test_scaling_invariants_up_to_64_qubits():
     assert previous_gap > 0
 
 
+def test_running_product_matches_each_report():
+    assert list(maga.scaling_reports(80)) == [
+        maga.scaling_report(n) for n in range(1, 81)
+    ]
+
+
 def test_scaling_rejects_nonpositive_qubits():
     with pytest.raises(ValueError):
         maga.scaling_report(0)
