@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for success or acceptance, 1 for rejection or a failed
-verification, 2 for usage errors (including malformed tokens).  All
+verification, 2 for usage errors (including malformed tokens), 3 for
+an internal error, reported by ``main`` in one stderr line.  All
 randomized commands require ``--seed`` and identical invocations with
 identical seeds produce byte-identical output.
 """
@@ -378,7 +379,13 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except Exception as err:  # SystemExit and KeyboardInterrupt pass through
+        message = " ".join(str(err).split())
+        print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

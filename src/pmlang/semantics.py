@@ -19,7 +19,7 @@ quantum cross-check) is measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -59,6 +59,14 @@ class DeterminationState:
     """Immutable snapshot of the determined map; 0 marks undetermined."""
 
     values: tuple[int, ...]
+    # states key dicts and caches on every walk: hash the 9-tuple once
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.values))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def value_of(self, obs: Observable) -> int | None:
         v = self.values[obs.index]
@@ -149,25 +157,71 @@ def step(state: DeterminationState, measurement: SignedSymbol) -> StepResult:
     return StepResult(_state(tuple(new)))
 
 
+def reachable(
+    successors: Callable[[Node], Iterable[Node]], start: Node
+) -> tuple[Node, ...]:
+    """Every node reachable from ``start`` along ``successors``, in BFS order."""
+    order = [start]
+    seen = {start}
+    for node in order:
+        for child in successors(node):
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+    return tuple(order)
+
+
+# ---------------------------------------------------------------- the table
+#
+# ``step`` compiled once: the reachable states get dense ids in BFS
+# order from the empty state (id 0), and DELTA[q][sym.index] is the id
+# after measuring ``sym`` in state q.  A clash goes to the sink CLASH,
+# whose row loops to itself, so a fold needs no branch.
+
+
+def _rule_successors(state: DeterminationState) -> list[DeterminationState]:
+    return [r.state for r in (step(state, sym) for sym in ALPHABET) if r.consistent]
+
+
+_BY_ID: tuple[DeterminationState, ...] = reachable(_rule_successors, EMPTY_STATE)
+_ID: dict[DeterminationState, int] = {st: q for q, st in enumerate(_BY_ID)}
+CLASH = len(_BY_ID)
+DELTA: tuple[tuple[int, ...], ...] = tuple(
+    tuple(
+        CLASH if (r := step(st, sym).state) is None else _ID[r] for sym in ALPHABET
+    )
+    for st in _BY_ID
+) + ((CLASH,) * len(ALPHABET),)
+# per id, the (symbol, successor id) pairs that do not clash
+_EDGES: tuple[tuple[tuple[SignedSymbol, int], ...], ...] = tuple(
+    tuple((sym, r) for sym, r in zip(ALPHABET, row) if r != CLASH)
+    for row in DELTA[:CLASH]
+)
+_CONTINUATIONS = tuple(tuple(sym for sym, _ in edges) for edges in _EDGES)
+_NEXT = tuple(tuple(_BY_ID[r] for _, r in edges) for edges in _EDGES)
+
+
 def _coerce(w: str | Iterable[SignedSymbol]) -> tuple[SignedSymbol, ...]:
     if isinstance(w, str):
         return parse_string(w)
     return tuple(w)
 
 
+def _fold(w: str | Iterable[SignedSymbol]) -> int:
+    q = 0
+    for sym in _coerce(w):
+        q = DELTA[q][sym.index]
+    return q
+
+
 def final_state(w: str | Iterable[SignedSymbol]) -> DeterminationState | None:
     """Fold a string through ``step``; None when some measurement clashes."""
-    st = EMPTY_STATE
-    for sym in _coerce(w):
-        res = step(st, sym)
-        if res.state is None:
-            return None
-        st = res.state
-    return st
+    q = _fold(w)
+    return None if q == CLASH else _BY_ID[q]
 
 
 def is_consistent(w: str | Iterable[SignedSymbol]) -> bool:
-    return final_state(w) is not None
+    return _fold(w) != CLASH
 
 
 @dataclass(frozen=True)
@@ -192,13 +246,12 @@ class Trace:
 def trace(w: str | Iterable[SignedSymbol]) -> Trace:
     symbols = _coerce(w)
     states = []
-    st = EMPTY_STATE
+    q = 0
     for i, sym in enumerate(symbols):
-        res = step(st, sym)
-        if res.state is None:
+        q = DELTA[q][sym.index]
+        if q == CLASH:
             return Trace(symbols, tuple(states), i)
-        st = res.state
-        states.append(st)
+        states.append(_BY_ID[q])
     return Trace(symbols, tuple(states), None)
 
 
@@ -231,34 +284,21 @@ def agree(
     return su.value_of(obs) == sv.value_of(obs)
 
 
-@lru_cache(maxsize=None)
 def consistent_continuations(state: DeterminationState) -> tuple[SignedSymbol, ...]:
-    """The symbols that extend a state without a clash, in canonical order."""
-    return tuple(sym for sym in ALPHABET if step(state, sym).state is not None)
+    """The symbols that extend a reachable state without a clash, in
+    canonical order."""
+    return _CONTINUATIONS[_ID[state]]
 
 
-def next_states(state: DeterminationState) -> list[DeterminationState]:
+def next_states(state: DeterminationState) -> tuple[DeterminationState, ...]:
     """The state after each consistent continuation, in canonical order."""
-    return [step(state, sym).state for sym in consistent_continuations(state)]
-
-
-def reachable(
-    successors: Callable[[Node], Iterable[Node]], start: Node
-) -> tuple[Node, ...]:
-    """Every node reachable from ``start`` along ``successors``, in BFS order."""
-    order = [start]
-    seen = {start}
-    for node in order:
-        for child in successors(node):
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-    return tuple(order)
+    return _NEXT[_ID[state]]
 
 
 def reachable_states() -> tuple[DeterminationState, ...]:
-    """Every state reachable from the empty history, in BFS order."""
-    return reachable(next_states, EMPTY_STATE)
+    """Every state reachable from the empty history, in BFS order; a
+    state's position is its id in ``DELTA``."""
+    return _BY_ID
 
 
 def layers(
@@ -290,14 +330,13 @@ def iter_consistent_strings(
     Yields each string with its final state, the empty string included,
     in preorder with children in canonical symbol order.
     """
-    stack = [((), EMPTY_STATE)]
+    stack = [((), 0)]
     while stack:
-        prefix, state = stack.pop()
-        yield prefix, state
+        prefix, q = stack.pop()
+        yield prefix, _BY_ID[q]
         if len(prefix) < max_len:
             stack.extend(
-                (prefix + (sym,), step(state, sym).state)
-                for sym in reversed(consistent_continuations(state))
+                (prefix + (sym,), r) for sym, r in reversed(_EDGES[q])
             )
 
 

@@ -128,6 +128,11 @@ class SignedSymbol:
             self, "index", 2 * self.obs.index + (0 if self.value == 1 else 1)
         )
 
+    def __hash__(self) -> int:
+        # equal symbols share an index; the generated hash would recurse
+        # into the observable on every cache lookup
+        return self.index
+
     @property
     def token(self) -> str:
         return self.obs.name if self.value == 1 else "~" + self.obs.name

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmlang import cli, quantum
-from pmlang.square import parse_string
+from pmlang import semantics as sem
+from pmlang.square import ALPHABET, parse_string
 
 CONSISTENT_TRACE = """\
 step  token   observable  value  determined after step
@@ -371,6 +373,75 @@ def test_bound_and_density_give_rows_or_one_refusal_line(command, qubits, fmt):
     else:
         rows = json.loads(text)["rows"] if fmt == "json" else text.splitlines()[1:]
         assert len(rows) == qubits
+
+
+SYMBOL_BY_TOKEN = {sym.token: sym for sym in ALPHABET}
+MALFORMED_TOKENS = ["~", "~~A", "D", "Alpha", "~gam", "A~", "betaa", "x1"]
+
+
+@st.composite
+def consistent_then_any(draw):
+    """A consistent string, by ``step`` over all 18 symbols, then one
+    token that may clash."""
+    state = sem.EMPTY_STATE
+    tokens = []
+    for _ in range(draw(st.integers(0, 63))):
+        options = [s for s in ALPHABET if sem.step(state, s).consistent]
+        sym = draw(st.sampled_from(options))
+        state = sem.step(state, sym).state
+        tokens.append(sym.token)
+    tokens.append(draw(st.sampled_from(ALPHABET)).token)
+    return tokens
+
+
+@given(
+    st.sampled_from(["validate", "derive"]),
+    st.one_of(
+        st.lists(st.sampled_from([*SYMBOL_BY_TOKEN, *MALFORMED_TOKENS]), max_size=64),
+        consistent_then_any(),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_validate_and_derive_give_the_step_verdict_or_one_refusal_line(command, tokens):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = invoke([command, " ".join(tokens)])
+    if any(tok not in SYMBOL_BY_TOKEN for tok in tokens):
+        assert code == 2
+        assert text == ""
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+        return
+    state = sem.EMPTY_STATE
+    for tok in tokens:
+        state = sem.step(state, SYMBOL_BY_TOKEN[tok]).state
+        if state is None:
+            break
+    assert code == (0 if state is not None else 1)
+    assert err.getvalue() == ""
+
+
+def test_main_reports_an_internal_error_in_one_line(monkeypatch, capsys):
+    def broken(args, out):
+        raise RuntimeError("table\nbroken")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    monkeypatch.setattr(sys, "argv", ["pmlang", "validate", "A"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal: RuntimeError: table broken\n"
+    # in-process callers still see the exception itself
+    with pytest.raises(RuntimeError):
+        cli.run(["validate", "A"])
+    # usage errors keep their own exit code
+    monkeypatch.setattr(sys, "argv", ["pmlang", "nonsense"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 2
+    capsys.readouterr()
 
 
 def test_run_suites_rejects_unknown_names():

@@ -5,6 +5,7 @@ adapter, and the qubit-scaling formulas."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -225,6 +226,34 @@ def test_running_product_matches_each_report():
     assert list(maga.scaling_reports(80)) == [
         maga.scaling_report(n) for n in range(1, 81)
     ]
+
+
+def test_bounds_suite_keeps_no_report_per_row():
+    """Each report holds integers of about n^2/2 bits; holding all 600
+    took 14 MiB, streaming them holds a few rows at a time."""
+    tracemalloc.start()
+    try:
+        result = verify.suite_bounds(verify.VerifyConfig(qubits_max=600))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 4 * 2**20
+
+
+def test_bounds_suite_details_and_a_rising_gap(monkeypatch):
+    details = [c.detail for c in verify.suite_bounds(verify.VerifyConfig()).checks]
+    assert details[2:4] == [
+        "density(1) = 2.5850",
+        "gap(1) = 0.5850, gap(64) = 1.96e-02",
+    ]
+    # lowering one floor makes the gap rise once: only that line fails
+    reports = list(maga.scaling_reports(5))
+    r = reports[3]
+    reports[3] = dataclasses.replace(r, density_floor=r.density_floor - 0.5)
+    monkeypatch.setattr(maga, "scaling_reports", lambda n: iter(reports[:n]))
+    result = verify.suite_bounds(verify.VerifyConfig(qubits_max=5))
+    assert [c.passed for c in result.checks] == [True, True, True, False, True]
 
 
 def test_scaling_rejects_nonpositive_qubits():

@@ -1,6 +1,8 @@
 """The operational oracle: the four-step worked sequence, the shape of
 determination states, and the closure properties of consistency."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,65 @@ def test_reachable_state_census():
     assert sizes.count(1) == 18
     assert sizes.count(3) == 24
     assert all(sem.state_is_well_formed(s) for s in states)
+
+
+def rule_fold(symbols):
+    """The final state by ``step`` alone, or None after a clash."""
+    state = sem.EMPTY_STATE
+    for sym in symbols:
+        state = sem.step(state, sym).state
+        if state is None:
+            return None
+    return state
+
+
+def test_table_is_the_step_rule():
+    """Ids are BFS positions from the empty state under ``step``, and
+    each table entry is ``step``'s successor, or the sink on a clash."""
+    def rule_successors(state):
+        return [r.state for r in (sem.step(state, s) for s in sq.ALPHABET) if r.consistent]
+
+    states = sem.reachable_states()
+    assert sem.reachable(rule_successors, sem.EMPTY_STATE) == states
+    assert len(states) == sem.CLASH == 43
+    assert len(sem.DELTA) == 44
+    assert sem.DELTA[sem.CLASH] == (sem.CLASH,) * 18
+    for q, state in enumerate(states):
+        for sym in sq.ALPHABET:
+            successor = sem.step(state, sym).state
+            expected = sem.CLASH if successor is None else states.index(successor)
+            assert sem.DELTA[q][sym.index] == expected
+
+
+def test_folds_agree_with_step_on_random_strings():
+    rng = random.Random(20240817)
+    consistent = 0
+    for _ in range(2000):
+        w = tuple(rng.choice(sq.ALPHABET) for _ in range(rng.randint(0, 16)))
+        expected = rule_fold(w)
+        consistent += expected is not None
+        assert sem.final_state(w) is expected
+        assert sem.is_consistent(w) == (expected is not None)
+        traced = sem.trace(w)
+        assert traced.final is expected
+        assert traced.failed_at == (None if expected else len(traced.states))
+    assert 200 < consistent < 1800  # both verdicts are exercised
+
+
+def test_equal_symbols_and_states_hash_equal():
+    for sym in sq.ALPHABET:
+        obs = sq.Observable(sym.obs.name, sym.obs.row, sym.obs.col)
+        twin = sq.SignedSymbol(obs, sym.value)
+        assert twin is not sym
+        assert twin == sym and hash(twin) == hash(sym)
+        assert sem.step(sem.EMPTY_STATE, twin) == sem.step(sem.EMPTY_STATE, sym)
+    assert sq.SignedSymbol(A, 1) != sq.SignedSymbol(A, -1)
+    for state in sem.reachable_states():
+        twin = sem.DeterminationState(state.values)
+        assert twin is not state
+        assert twin == state and hash(twin) == hash(state)
+        assert sem.next_states(twin) == sem.next_states(state)
+        assert sem.consistent_continuations(twin) == sem.consistent_continuations(state)
 
 
 def test_iter_consistent_strings_counts():
