@@ -17,10 +17,8 @@ from .square import (
 )
 from .semantics import (
     DeterminationState,
-    StepResult,
     agree,
     determined_context,
-    initial_state,
     is_consistent,
     step,
     trace,

@@ -292,8 +292,16 @@ def cmd_verify(args, out) -> int:
 # ------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, without the usage text;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pmlang",
         description="Measurement language of the Peres-Mermin square: "
         "consistency oracle, grammar, automata, memory bounds, and a "
@@ -371,6 +379,9 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
             need = f"at least {floor}" if floor else "non-negative"
             print(f"error: --{name.replace('_', '-')} must be {need}", file=sys.stderr)
             return 2
+    if getattr(args, "qubits", 0) > maga.MAX_QUBITS:
+        print(f"error: --qubits must be at most {maga.MAX_QUBITS}", file=sys.stderr)
+        return 2
     try:
         return args.func(args, out)
     except TokenError as err:

@@ -145,6 +145,12 @@ class DisagreementReport:
         return len(self.witnesses) + len(self.missing)
 
 
+def first_disagreement(u: String, v: String) -> Observable | None:
+    """The first observable on which two consistent histories disagree,
+    or None when they agree everywhere."""
+    return next((obs for obs in OBSERVABLES if not semantics.agree(u, v, obs)), None)
+
+
 def verify_disagreement_claim() -> DisagreementReport:
     """For every unordered pair of class representatives, find an
     observable on which the two histories disagree.
@@ -159,11 +165,7 @@ def verify_disagreement_claim() -> DisagreementReport:
     missing = []
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            found = None
-            for obs in OBSERVABLES:
-                if not semantics.agree(reps[i], reps[j], obs):
-                    found = obs
-                    break
+            found = first_disagreement(reps[i], reps[j])
             if found is None:
                 missing.append((triples[i], triples[j]))
             else:
@@ -288,27 +290,25 @@ def lower_bound_check(machine: MagaSpec) -> PigeonholeVerdict:
     for i, mem in enumerate(memories):
         if mem in by_memory:
             j = by_memory[mem]
-            for obs in OBSERVABLES:
-                left_req = expected_output(reps[j], obs)
-                right_req = expected_output(reps[i], obs)
-                if left_req != right_req:
-                    return PigeonholeVerdict(
-                        distinct_memory_states=len(set(memories)),
-                        certified=False,
-                        counterexample=CollisionWitness(
-                            triples[j],
-                            triples[i],
-                            reps[j],
-                            reps[i],
-                            mem,
-                            obs,
-                            left_req,
-                            right_req,
-                        ),
-                    )
-            raise AssertionError(
-                "two distinct classes agree everywhere; the disagreement "
-                "table must be broken"
+            obs = first_disagreement(reps[j], reps[i])
+            if obs is None:
+                raise AssertionError(
+                    "two distinct classes agree everywhere; the disagreement "
+                    "table must be broken"
+                )
+            return PigeonholeVerdict(
+                distinct_memory_states=len(set(memories)),
+                certified=False,
+                counterexample=CollisionWitness(
+                    triples[j],
+                    triples[i],
+                    reps[j],
+                    reps[i],
+                    mem,
+                    obs,
+                    expected_output(reps[j], obs),
+                    expected_output(reps[i], obs),
+                ),
             )
         by_memory[mem] = i
     return PigeonholeVerdict(len(by_memory), True, None)
@@ -398,6 +398,11 @@ class ScalingReport:
     @property
     def violates_holevo(self) -> bool:
         return self.density > 1.0
+
+
+# The most qubits the CLI tabulates: the exact bound has about n^2/2
+# bits, so the work of a table grows quadratically with n.
+MAX_QUBITS = 3000
 
 
 def scaling_reports(n_max: int) -> Iterator[ScalingReport]:

@@ -103,31 +103,14 @@ def _state(values: tuple[int, ...]) -> DeterminationState:
 EMPTY_STATE = _state((0,) * 9)
 
 
-def initial_state() -> DeterminationState:
-    """The state before any measurement: everything undetermined."""
-    return EMPTY_STATE
-
-
-@dataclass(frozen=True)
-class StepResult:
-    """Verdict of one measurement: the successor state, or a clash."""
-
-    state: DeterminationState | None
-
-    @property
-    def consistent(self) -> bool:
-        return self.state is not None
-
-
-INCONSISTENT = StepResult(None)
-
-
 @lru_cache(maxsize=None)
-def step(state: DeterminationState, measurement: SignedSymbol) -> StepResult:
+def step(
+    state: DeterminationState, measurement: SignedSymbol
+) -> DeterminationState | None:
     """Apply one measurement to a state.
 
     A clash (the measured observable already holds the opposite value)
-    is reported as a verdict, not an exception.  Otherwise incompatible
+    is reported as None, not as an exception.  Otherwise incompatible
     observables are dropped, the measurement is recorded, and at most
     one context completion fires; with the determined set never larger
     than one context, a single completion pass is always enough.
@@ -136,7 +119,7 @@ def step(state: DeterminationState, measurement: SignedSymbol) -> StepResult:
     val = measurement.value
     cur = state.values[idx]
     if cur and cur != val:
-        return INCONSISTENT
+        return None
     new = list(state.values)
     compat = _COMPATIBLE_IDX[idx]
     for j in range(9):
@@ -154,7 +137,7 @@ def step(state: DeterminationState, measurement: SignedSymbol) -> StepResult:
                 new[b] = sign * va * vc
             else:
                 new[c] = sign * va * vb
-    return StepResult(_state(tuple(new)))
+    return _state(tuple(new))
 
 
 def reachable(
@@ -180,7 +163,7 @@ def reachable(
 
 
 def _rule_successors(state: DeterminationState) -> list[DeterminationState]:
-    return [r.state for r in (step(state, sym) for sym in ALPHABET) if r.consistent]
+    return [r for sym in ALPHABET if (r := step(state, sym)) is not None]
 
 
 _BY_ID: tuple[DeterminationState, ...] = reachable(_rule_successors, EMPTY_STATE)
@@ -188,17 +171,11 @@ _ID: dict[DeterminationState, int] = {st: q for q, st in enumerate(_BY_ID)}
 CLASH = len(_BY_ID)
 DELTA: tuple[tuple[int, ...], ...] = tuple(
     tuple(
-        CLASH if (r := step(st, sym).state) is None else _ID[r] for sym in ALPHABET
+        CLASH if (r := step(st, sym)) is None else _ID[r] for sym in ALPHABET
     )
     for st in _BY_ID
 ) + ((CLASH,) * len(ALPHABET),)
-# per id, the (symbol, successor id) pairs that do not clash
-_EDGES: tuple[tuple[tuple[SignedSymbol, int], ...], ...] = tuple(
-    tuple((sym, r) for sym, r in zip(ALPHABET, row) if r != CLASH)
-    for row in DELTA[:CLASH]
-)
-_CONTINUATIONS = tuple(tuple(sym for sym, _ in edges) for edges in _EDGES)
-_NEXT = tuple(tuple(_BY_ID[r] for _, r in edges) for edges in _EDGES)
+_NEXT = tuple(tuple(_BY_ID[r] for r in row if r != CLASH) for row in DELTA[:CLASH])
 
 
 def _coerce(w: str | Iterable[SignedSymbol]) -> tuple[SignedSymbol, ...]:
@@ -284,12 +261,6 @@ def agree(
     return su.value_of(obs) == sv.value_of(obs)
 
 
-def consistent_continuations(state: DeterminationState) -> tuple[SignedSymbol, ...]:
-    """The symbols that extend a reachable state without a clash, in
-    canonical order."""
-    return _CONTINUATIONS[_ID[state]]
-
-
 def next_states(state: DeterminationState) -> tuple[DeterminationState, ...]:
     """The state after each consistent continuation, in canonical order."""
     return _NEXT[_ID[state]]
@@ -320,24 +291,6 @@ def layers(
                 nxt[child] = nxt.get(child, 0) + count
         layer = nxt
         yield layer
-
-
-def iter_consistent_strings(
-    max_len: int,
-) -> Iterator[tuple[tuple[SignedSymbol, ...], DeterminationState]]:
-    """Depth-first walk of all consistent strings up to ``max_len``.
-
-    Yields each string with its final state, the empty string included,
-    in preorder with children in canonical symbol order.
-    """
-    stack = [((), 0)]
-    while stack:
-        prefix, q = stack.pop()
-        yield prefix, _BY_ID[q]
-        if len(prefix) < max_len:
-            stack.extend(
-                (prefix + (sym,), r) for sym, r in reversed(_EDGES[q])
-            )
 
 
 def state_is_well_formed(state: DeterminationState) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 OBSERVABLE_NAMES = ("A", "B", "C", "a", "b", "c", "alpha", "beta", "gamma")
 
@@ -88,11 +88,6 @@ def _build_contexts() -> tuple[Context, ...]:
 
 
 CONTEXTS: tuple[Context, ...] = _build_contexts()
-
-
-def contexts_of(obs: Observable) -> tuple[Context, Context]:
-    """The row context and the column context containing ``obs``."""
-    return CONTEXTS[obs.row], CONTEXTS[3 + obs.col]
 
 
 def shared_context(x: Observable, y: Observable) -> Context | None:
@@ -230,10 +225,6 @@ class SquareFilling:
     def __post_init__(self):
         if len(self.values) != 9 or any(v not in (1, -1) for v in self.values):
             raise ValueError("a filling assigns +1 or -1 to each of the 9 cells")
-
-    @classmethod
-    def from_map(cls, mapping: Mapping[Observable, int]) -> "SquareFilling":
-        return cls(tuple(mapping[o] for o in OBSERVABLES))
 
     def value_of(self, obs: Observable) -> int:
         return self.values[obs.index]

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class VerifyConfig:
         for name, value in vars(self).items():
             if value < floors.get(name, 0):
                 raise ValueError(f"{name} must be at least {floors.get(name, 0)}")
+        if self.qubits_max > maga.MAX_QUBITS:
+            raise ValueError(f"qubits_max must be at most {maga.MAX_QUBITS}")
 
 
 @dataclass
@@ -126,24 +129,20 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
     # hashing NFA states dominates a subset step; frozensets cache their hash
     nfa_step = lru_cache(maxsize=None)(nfa.step)
 
-    # Product of the grammar's NFA subsets with the oracle's states
-    # (None once a string is inconsistent), over all 18 symbols.
+    # Product of the grammar's NFA subsets with the oracle's state ids
+    # (the sink CLASH once a string is inconsistent), over all 18 symbols.
     def successors(node):
-        nset, state = node
+        nset, q = node
         return [
-            (
-                nfa_step(nset, sym),
-                None if state is None else semantics.step(state, sym).state,
-            )
-            for sym in ALPHABET
+            (nfa_step(nset, sym), r) for sym, r in zip(ALPHABET, semantics.DELTA[q])
         ]
 
     def mismatched(node) -> bool:
-        nset, state = node
-        return bool(nset & nfa.accepting) != (state is not None)
+        nset, q = node
+        return bool(nset & nfa.accepting) != (q != semantics.CLASH)
 
     nfa_start = frozenset([nfa.start])
-    start = (nfa_start, semantics.EMPTY_STATE)
+    start = (nfa_start, 0)
     strings = 0
     mismatches = 0
     for layer in semantics.layers(successors, start, cfg.exhaustive_len):
@@ -362,14 +361,58 @@ def _answer(m1_or_output, *args):
         return None
 
 
-def _spot_check(machine: maga.MagaSpec, strings, rng: random.Random) -> tuple[int, int]:
-    """Run the full interface ``machine.output`` against the oracle on a
-    0.2% sample of ``strings``; returns (strings checked, wrong answers)."""
-    checked = 0
-    wrong = 0
-    for w in strings:
+Keep = Callable[[semantics.DeterminationState], bool]
+
+
+def _sample_strings(
+    max_len: int, keep: Keep, rng: random.Random
+) -> Iterator[tuple[SignedSymbol, ...]]:
+    """A seeded 0.2% sample of the consistent strings up to ``max_len``
+    whose final state passes ``keep``.
+
+    The kept strings are taken in lexicographic order by symbol index
+    (a prefix before its extensions) and each gets one ``rng.random()``
+    draw.  A picked string is rebuilt from its rank, so the strings
+    themselves are never listed: ``counts[k][q]`` is the number of kept
+    strings of at most ``k`` symbols that continue a history in state
+    ``q``, the empty continuation included.
+    """
+    delta = semantics.DELTA
+    kept = [int(keep(state)) for state in semantics.reachable_states()] + [0]
+    counts = [kept]  # the clash sink keeps nothing, so it counts 0
+    for _ in range(max_len):
+        prev = counts[-1]
+        counts.append(
+            [kept[q] + sum(prev[r] for r in row) for q, row in enumerate(delta)]
+        )
+    for rank in range(counts[max_len][0]):
         if rng.random() >= 0.002:
             continue
+        # Walk down from the empty history; ``rank`` counts the kept
+        # strings still to skip, and goes negative at the picked one.
+        w = []
+        q = 0
+        rank -= kept[q]
+        while rank >= 0:
+            below = counts[max_len - len(w) - 1]
+            for sym, r in zip(ALPHABET, delta[q]):
+                if rank < below[r]:
+                    break
+                rank -= below[r]
+            w.append(sym)
+            q = r
+            rank -= kept[q]
+        yield tuple(w)
+
+
+def _spot_check(
+    machine: maga.MagaSpec, max_len: int, keep: Keep, rng: random.Random
+) -> tuple[int, int]:
+    """Run the full interface ``machine.output`` against the oracle on a
+    sample of strings; returns (strings checked, wrong answers)."""
+    checked = 0
+    wrong = 0
+    for w in _sample_strings(max_len, keep, rng):
         checked += 1
         for obs in OBSERVABLES:
             if _answer(machine.output, w, obs) != maga.expected_output(w, obs):
@@ -451,11 +494,8 @@ def suite_maga(cfg: VerifyConfig) -> SuiteResult:
     # exercise the real callables end to end on a sample
     spot_checked, spot_wrong = _spot_check(
         machine,
-        (
-            w
-            for w, state in semantics.iter_consistent_strings(cfg.maga_len)
-            if semantics.determined_context(state) is not None
-        ),
+        cfg.maga_len,
+        lambda state: semantics.determined_context(state) is not None,
         random.Random(cfg.seed + 2),
     )
     result.add(
@@ -488,23 +528,26 @@ def suite_adapter(cfg: VerifyConfig) -> SuiteResult:
         f"{len(recognizer.memory_states)} >= {math.isqrt(24 - 1) + 1}",
     )
 
-    # Nodes are (DFA state, oracle state) after a consistent string; the
-    # recognizer's memory for both signed extensions is the DFA state.
+    # Nodes are (DFA state, oracle state id) after a consistent string;
+    # the recognizer's memory for both signed extensions is the DFA state.
     def successors(node):
-        q, state = node
+        d, q = node
         return [
-            (dfa.delta[q][sym.index], semantics.step(state, sym).state)
-            for sym in semantics.consistent_continuations(state)
+            (dfa.delta[d][sym.index], r)
+            for sym, r in zip(ALPHABET, semantics.DELTA[q])
+            if r != semantics.CLASH
         ]
 
+    states = semantics.reachable_states()
+
     def wrong_answers(node) -> int:
-        q, state = node
+        d, q = node
         return sum(
-            _answer(machine.m1, (q, q), obs) != maga.required_answer(state, obs)
+            _answer(machine.m1, (d, d), obs) != maga.required_answer(states[q], obs)
             for obs in OBSERVABLES
         )
 
-    start = (dfa.start, semantics.EMPTY_STATE)
+    start = (dfa.start, 0)
     nodes = 0
     wrong = 0
     for layer in semantics.layers(successors, start, cfg.exhaustive_len):
@@ -521,9 +564,7 @@ def suite_adapter(cfg: VerifyConfig) -> SuiteResult:
     pairs = semantics.reachable(successors, start)
     bad = sum(map(wrong_answers, pairs))
     spot_checked, spot_wrong = _spot_check(
-        machine,
-        (w for w, _ in semantics.iter_consistent_strings(cfg.exhaustive_len)),
-        random.Random(cfg.seed + 7),
+        machine, cfg.exhaustive_len, lambda state: True, random.Random(cfg.seed + 7)
     )
     result.add(
         "adapter answers match the oracle on every reachable (DFA state, "

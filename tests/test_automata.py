@@ -68,7 +68,7 @@ def test_minimize_preserves_the_language():
         q, state = node
         out = []
         for sym in sq.ALPHABET:
-            child = sem.step(state, sym).state if state is not None else None
+            child = sem.step(state, sym) if state is not None else None
             out.append((m.delta[q][sym.index], child))
         return out
 
@@ -117,7 +117,7 @@ def independent_equivalence_class_count(depth: int) -> int:
     def successor(state, sym):
         if state is None:
             return None
-        return sem.step(state, sym).state
+        return sem.step(state, sym)
 
     signature = {s: (s is not None) for s in states}
     for _ in range(depth):

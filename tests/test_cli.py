@@ -288,13 +288,18 @@ def test_verify_with_reduced_depths():
     assert code == 0
     assert "FAIL" not in text
 
-    # every suite at the benchmark's depths; pins the reported counts
+    # every suite at the benchmark's depths; pins the whole report and
+    # the counts it gives
     code, text = invoke(
         "verify --suite all --seed 20240817 --exhaustive-len 3 --invariant-len 4 "
         "--maga-len 4 --random-strings 20000 --quantum-runs 2000".split()
     )
     assert code == 0
     assert "FAIL" not in text
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "b0d1b39a1ca281957d88eb7919ddacb1fb7017a236c3f45a9c660890e71e79f8"
+    )
     for detail in (
         "(6175 strings, 0 mismatches)",
         "(81865 states visited, 0 malformed)",
@@ -317,6 +322,7 @@ def test_verify_with_reduced_depths():
         ["--suite", "counting", "--count-max", "150"],
         ["--suite", "quantum", "--quantum-trials", "0"],
         ["--suite", "quantum", "--seed", "-5"],
+        ["--suite", "bounds", "--qubits-max", "3001"],
     ],
 )
 def test_verify_rejects_out_of_range_settings(argv, capsys):
@@ -335,6 +341,8 @@ def test_verify_rejects_out_of_range_settings(argv, capsys):
         ["sample", "--length", "3", "--seed", "-1"],
         ["count", "--max-length", "3656"],
         ["bound", "--qubits", "200"],
+        ["density", "--qubits", "3001"],
+        ["bound", "--qubits", "3001"],
     ],
 )
 def test_out_of_range_arguments_exit_two(argv, capsys):
@@ -386,9 +394,9 @@ def consistent_then_any(draw):
     state = sem.EMPTY_STATE
     tokens = []
     for _ in range(draw(st.integers(0, 63))):
-        options = [s for s in ALPHABET if sem.step(state, s).consistent]
+        options = [s for s in ALPHABET if sem.step(state, s) is not None]
         sym = draw(st.sampled_from(options))
-        state = sem.step(state, sym).state
+        state = sem.step(state, sym)
         tokens.append(sym.token)
     tokens.append(draw(st.sampled_from(ALPHABET)).token)
     return tokens
@@ -414,7 +422,7 @@ def test_validate_and_derive_give_the_step_verdict_or_one_refusal_line(command, 
         return
     state = sem.EMPTY_STATE
     for tok in tokens:
-        state = sem.step(state, SYMBOL_BY_TOKEN[tok]).state
+        state = sem.step(state, SYMBOL_BY_TOKEN[tok])
         if state is None:
             break
     assert code == (0 if state is not None else 1)
@@ -456,14 +464,24 @@ def test_run_suites_rejects_unknown_names():
 
 
 def test_usage_errors_exit_two(capsys):
-    import pytest
-
-    with pytest.raises(SystemExit) as err:
-        cli.run(["count", "--max-length"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        cli.run(["nonsense"])
-    assert err.value.code == 2
+    for argv in (
+        ["count", "--max-length"],
+        ["nonsense"],
+        ["validate"],
+        ["validate", "-A"],
+        ["count"],
+        ["count", "--max-length", "3", "--format", "bogus"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            invoke(argv)
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
     code, _ = invoke(["bound", "--qubits", "0"])
     assert code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        invoke(["--help"])
+    assert err.value.code == 0
+    assert "usage: pmlang" in capsys.readouterr().out

@@ -200,9 +200,10 @@ def consistent_strings(draw, max_len=8):
     out = []
     state = sem.EMPTY_STATE
     for _ in range(length):
-        sym = draw(st.sampled_from(sem.consistent_continuations(state)))
+        options = [s for s in sq.ALPHABET if sem.step(state, s) is not None]
+        sym = draw(st.sampled_from(options))
         out.append(sym)
-        state = sem.step(state, sym).state
+        state = sem.step(state, sym)
     return tuple(out)
 
 

@@ -140,7 +140,7 @@ def test_sampled_values_match_determined_predictions():
             predicted = oracle.value_of(obs)
             if predicted is not None:
                 assert value == predicted
-            oracle = sem.step(oracle, sq.signed(obs, value)).state
+            oracle = sem.step(oracle, sq.signed(obs, value))
             assert oracle is not None
 
 

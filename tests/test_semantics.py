@@ -1,7 +1,9 @@
 """The operational oracle: the four-step worked sequence, the shape of
 determination states, and the closure properties of consistency."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from pmlang import semantics as sem
 from pmlang import square as sq
+from pmlang import verify
 
 A = sq.OBSERVABLE_BY_NAME["A"]
 B = sq.OBSERVABLE_BY_NAME["B"]
@@ -21,7 +24,7 @@ def states_of(text):
 
 
 def test_initial_state_is_empty():
-    state = sem.initial_state()
+    state = sem.EMPTY_STATE
     assert state.is_empty
     assert state.value_of(A) is None
 
@@ -62,7 +65,7 @@ def test_predicted_values():
 
 
 def test_determined_context():
-    assert sem.determined_context(sem.initial_state()) is None
+    assert sem.determined_context(sem.EMPTY_STATE) is None
     ctx, values = sem.determined_context(sem.final_state("A B"))
     assert ctx.name == "row0" and values == (1, 1, 1)
     ctx, values = sem.determined_context(sem.final_state("A B c"))
@@ -78,9 +81,7 @@ def test_agree():
 
 
 def test_step_is_a_verdict_not_an_exception():
-    res = sem.step(sem.final_state("A"), sq.signed("A", -1))
-    assert res is sem.INCONSISTENT
-    assert not res.consistent
+    assert sem.step(sem.final_state("A"), sq.signed("A", -1)) is None
 
 
 def test_reachable_state_census():
@@ -98,7 +99,7 @@ def rule_fold(symbols):
     """The final state by ``step`` alone, or None after a clash."""
     state = sem.EMPTY_STATE
     for sym in symbols:
-        state = sem.step(state, sym).state
+        state = sem.step(state, sym)
         if state is None:
             return None
     return state
@@ -108,7 +109,7 @@ def test_table_is_the_step_rule():
     """Ids are BFS positions from the empty state under ``step``, and
     each table entry is ``step``'s successor, or the sink on a clash."""
     def rule_successors(state):
-        return [r.state for r in (sem.step(state, s) for s in sq.ALPHABET) if r.consistent]
+        return [r for s in sq.ALPHABET if (r := sem.step(state, s)) is not None]
 
     states = sem.reachable_states()
     assert sem.reachable(rule_successors, sem.EMPTY_STATE) == states
@@ -117,7 +118,7 @@ def test_table_is_the_step_rule():
     assert sem.DELTA[sem.CLASH] == (sem.CLASH,) * 18
     for q, state in enumerate(states):
         for sym in sq.ALPHABET:
-            successor = sem.step(state, sym).state
+            successor = sem.step(state, sym)
             expected = sem.CLASH if successor is None else states.index(successor)
             assert sem.DELTA[q][sym.index] == expected
 
@@ -150,15 +151,30 @@ def test_equal_symbols_and_states_hash_equal():
         assert twin is not state
         assert twin == state and hash(twin) == hash(state)
         assert sem.next_states(twin) == sem.next_states(state)
-        assert sem.consistent_continuations(twin) == sem.consistent_continuations(state)
 
 
-def test_iter_consistent_strings_counts():
-    by_length = {}
-    for symbols, state in sem.iter_consistent_strings(3):
-        by_length[len(symbols)] = by_length.get(len(symbols), 0) + 1
-        assert state is sem.final_state(symbols)
-    assert by_length == {0: 1, 1: 18, 2: 306, 3: 4914}
+def test_rank_sampler_matches_a_lexicographic_listing():
+    """The spot checks' sampler rebuilds strings from their rank; it
+    must pick what one draw per kept string picks from a brute-force
+    listing in lexicographic order, a prefix before its extensions."""
+    listing = sorted(
+        (
+            w
+            for n in range(4)
+            for w in itertools.product(sq.ALPHABET, repeat=n)
+            if sem.is_consistent(w)
+        ),
+        key=lambda w: [s.index for s in w],
+    )
+    assert Counter(map(len, listing)) == {0: 1, 1: 18, 2: 306, 3: 4914}
+    for keep in (lambda s: True, lambda s: sem.determined_context(s) is not None):
+        kept = [w for w in listing if keep(sem.final_state(w))]
+        for seed in (1, 2, 3):
+            draws = random.Random(seed)
+            expected = [w for w in kept if draws.random() < 0.002]
+            rng = random.Random(seed)
+            assert list(verify._sample_strings(3, keep, rng)) == expected
+            assert expected and rng.random() == draws.random()
 
 
 def test_exhaustive_walk_depth_three():
@@ -188,10 +204,10 @@ def consistent_strings(draw, max_len=10):
     out = []
     state = sem.EMPTY_STATE
     for _ in range(length):
-        options = sem.consistent_continuations(state)
+        options = [s for s in sq.ALPHABET if sem.step(state, s) is not None]
         sym = draw(st.sampled_from(options))
         out.append(sym)
-        state = sem.step(state, sym).state
+        state = sem.step(state, sym)
     return tuple(out)
 
 
@@ -202,10 +218,10 @@ def test_prefix_closure(symbols):
     state = sem.EMPTY_STATE
     good = 0
     for sym in symbols:
-        res = sem.step(state, sym)
-        if res.state is None:
+        nxt = sem.step(state, sym)
+        if nxt is None:
             break
-        state = res.state
+        state = nxt
         good += 1
     prefix = tuple(symbols[:good])
     for k in range(good + 1):
