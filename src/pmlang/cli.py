@@ -309,12 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    string_help = (
+        'token string, e.g. "A B c ~gamma"; one that begins with "-" goes after "--"'
+    )
     p = sub.add_parser("validate", help="check a measurement string and show the trace")
-    p.add_argument("string", help='token string, e.g. "A B c ~gamma"')
+    p.add_argument("string", help=string_help)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("derive", help="print a witness derivation")
-    p.add_argument("string")
+    p.add_argument("string", help=string_help)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("grammar", help="inspect the instantiated grammar")

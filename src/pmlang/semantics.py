@@ -19,7 +19,8 @@ quantum cross-check) is measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -59,14 +60,6 @@ class DeterminationState:
     """Immutable snapshot of the determined map; 0 marks undetermined."""
 
     values: tuple[int, ...]
-    # states key dicts and caches on every walk: hash the 9-tuple once
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.values))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def value_of(self, obs: Observable) -> int | None:
         v = self.values[obs.index]
@@ -175,7 +168,11 @@ DELTA: tuple[tuple[int, ...], ...] = tuple(
     )
     for st in _BY_ID
 ) + ((CLASH,) * len(ALPHABET),)
-_NEXT = tuple(tuple(_BY_ID[r] for r in row if r != CLASH) for row in DELTA[:CLASH])
+
+
+def live(q: int) -> list[int]:
+    """The state id after each consistent continuation of state ``q``."""
+    return [r for r in DELTA[q] if r != CLASH]
 
 
 def _coerce(w: str | Iterable[SignedSymbol]) -> tuple[SignedSymbol, ...]:
@@ -261,11 +258,6 @@ def agree(
     return su.value_of(obs) == sv.value_of(obs)
 
 
-def next_states(state: DeterminationState) -> tuple[DeterminationState, ...]:
-    """The state after each consistent continuation, in canonical order."""
-    return _NEXT[_ID[state]]
-
-
 def reachable_states() -> tuple[DeterminationState, ...]:
     """Every state reachable from the empty history, in BFS order; a
     state's position is its id in ``DELTA``."""
@@ -296,21 +288,8 @@ def layers(
 def state_is_well_formed(state: DeterminationState) -> bool:
     """Structural invariant: the domain is empty, a singleton, or one
     full context whose values multiply to the context sign."""
-    det = [i for i, v in enumerate(state.values) if v]
-    if len(det) == 0 or len(det) == 1:
+    size = sum(map(bool, state.values))
+    if size <= 1:
         return True
-    if len(det) != 3:
-        return False
-    full = None
-    for ctx in CONTEXTS:
-        idxs = [o.index for o in ctx.members]
-        if all(state.values[i] for i in idxs):
-            if full is not None:
-                return False
-            full = ctx
-    if full is None or sorted(o.index for o in full.members) != sorted(det):
-        return False
-    prod = 1
-    for o in full.members:
-        prod *= state.values[o.index]
-    return prod == full.sign
+    found = determined_context(state)
+    return size == 3 and found is not None and math.prod(found[1]) == found[0].sign

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -28,6 +28,11 @@ from .square import (
     all_fillings,
     negative_context_count,
 )
+
+
+# The exhaustive sweeps cost little, but the spot checks draw once per
+# kept string, and those grow as 15^n (289,314,559 strings at length 7).
+MAX_DEPTH = 6
 
 
 @dataclass
@@ -54,6 +59,9 @@ class VerifyConfig:
                 raise ValueError(f"{name} must be at least {floors.get(name, 0)}")
         if self.qubits_max > maga.MAX_QUBITS:
             raise ValueError(f"qubits_max must be at most {maga.MAX_QUBITS}")
+        for name in ("exhaustive_len", "invariant_len", "maga_len"):
+            if getattr(self, name) > MAX_DEPTH:
+                raise ValueError(f"{name} must be at most {MAX_DEPTH}")
 
 
 @dataclass
@@ -85,6 +93,25 @@ def _pipeline() -> tuple[automata.Nfa, automata.Dfa, automata.Dfa]:
 
 def minimal_dfa() -> automata.Dfa:
     return _pipeline()[2]
+
+
+def _sweep(
+    successors: Callable[[Hashable], Iterable[Hashable]],
+    start: Hashable,
+    depth: int,
+    *props: Callable[[Hashable], int],
+) -> list[int]:
+    """Weighted sums over ``semantics.layers``: the number of strings of
+    length 0..depth, then for each property the sum of its values over
+    those strings' end nodes, so for a 0/1 property how many strings end
+    at a node that has it."""
+    totals = [0] * (1 + len(props))
+    for layer in semantics.layers(successors, start, depth):
+        for node, count in layer.items():
+            totals[0] += count
+            for i, prop in enumerate(props, 1):
+                totals[i] += count * prop(node)
+    return totals
 
 
 def _random_string(rng: random.Random, max_len: int) -> tuple[SignedSymbol, ...]:
@@ -143,12 +170,7 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
 
     nfa_start = frozenset([nfa.start])
     start = (nfa_start, 0)
-    strings = 0
-    mismatches = 0
-    for layer in semantics.layers(successors, start, cfg.exhaustive_len):
-        for node, count in layer.items():
-            strings += count
-            mismatches += count * mismatched(node)
+    strings, mismatches = _sweep(successors, start, cfg.exhaustive_len, mismatched)
     result.add(
         f"derivability matches consistency on all strings up to length "
         f"{cfg.exhaustive_len}",
@@ -213,29 +235,27 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
 def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
     result = SuiteResult("invariants")
 
-    def full_contexts(state) -> int:
-        return sum(
-            all(state.values[o.index] for o in ctx.members) for ctx in CONTEXTS
-        )
+    states = semantics.reachable_states()
+    ids = range(len(states))
+    full = [
+        sum(all(s.values[o.index] for o in ctx.members) for ctx in CONTEXTS)
+        for s in states
+    ]
+    well_formed = [semantics.state_is_well_formed(s) for s in states]
 
-    # Nodes are (state, whether the parent state held a context).
+    # Nodes are (state id, whether the parent state held a context).
     def successors(node):
-        state, _ = node
-        has_context = full_contexts(state) > 0
-        return [(child, has_context) for child in semantics.next_states(state)]
+        q, _ = node
+        return [(r, full[q] > 0) for r in semantics.live(q)]
 
-    nodes = 0
-    malformed = 0
-    persistence_broken = 0
-    multi_context = 0
-    start = (semantics.EMPTY_STATE, False)
-    for layer in semantics.layers(successors, start, cfg.invariant_len):
-        for (state, parent_had_context), count in layer.items():
-            full = full_contexts(state)
-            nodes += count
-            malformed += count * (not semantics.state_is_well_formed(state))
-            multi_context += count * (full > 1)
-            persistence_broken += count * (parent_had_context and not full)
+    nodes, malformed, multi_context, persistence_broken = _sweep(
+        successors,
+        (0, False),
+        cfg.invariant_len,
+        lambda node: not well_formed[node[0]],
+        lambda node: full[node[0]] > 1,
+        lambda node: node[1] and not full[node[0]],
+    )
     result.add(
         f"states stay well-formed over every consistent string up to length "
         f"{cfg.invariant_len}",
@@ -252,12 +272,10 @@ def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
         persistence_broken == 0,
         f"{persistence_broken} violations",
     )
-    states = semantics.reachable_states()
-    edges = [(s, t) for s in states for t in semantics.next_states(s)]
-    violations = sum(
-        not semantics.state_is_well_formed(s) or full_contexts(s) > 1
-        for s in states
-    ) + sum(full_contexts(s) > 0 and full_contexts(t) == 0 for s, t in edges)
+    edges = [(q, r) for q in ids for r in semantics.live(q)]
+    violations = sum(not well_formed[q] or full[q] > 1 for q in ids) + sum(
+        full[q] > 0 and full[r] == 0 for q, r in edges
+    )
     result.add(
         "well-formedness, at most one context and persistence hold on every "
         "reachable state and edge, so on strings of every length",
@@ -298,11 +316,9 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
     result = SuiteResult("counting")
     dfa = minimal_dfa()
 
-    # brute force through the operational rules only
-    brute = [
-        sum(layer.values())
-        for layer in semantics.layers(semantics.next_states, semantics.EMPTY_STATE, 4)
-    ]
+    # brute force through the oracle's table only
+    upto = [_sweep(semantics.live, 0, n)[0] for n in range(5)]
+    brute = [b - a for a, b in zip([0, *upto], upto)]
     report = automata.count_words(dfa, cfg.count_max)
     result.add(
         "word counts at lengths 0..4 match brute-force enumeration",
@@ -432,18 +448,19 @@ def suite_maga(cfg: VerifyConfig) -> SuiteResult:
         f"{len(set(reps))} distinct representatives",
     )
 
-    seen: set[maga.ClassTriple] = set()
-    total = 0
-    for layer in semantics.layers(semantics.next_states, semantics.EMPTY_STATE, 3):
-        for state, count in layer.items():
-            t = maga.class_of(state)
-            if t is not None:
-                seen.add(t)
-                total += count
+    states = semantics.reachable_states()
+    classes = [maga.class_of(s) for s in states]
+
+    def has_class(q: int) -> bool:
+        return classes[q] is not None
+
+    is_class = [lambda q, t=t: classes[q] == t for t in triples]
+    _, total, *per_class = _sweep(semantics.live, 0, 3, has_class, *is_class)
+    seen = {t for t, n in zip(triples, per_class) if n}
     result.add(
         "classification is total and onto the 24 classes (strings up to "
         "length 3)",
-        seen == set(triples),
+        seen == set(triples) and sum(per_class) == total,
         f"{len(seen)} classes over {total} context-determining strings",
     )
 
@@ -477,19 +494,15 @@ def suite_maga(cfg: VerifyConfig) -> SuiteResult:
     )
 
     machine = maga.reference_maga_plus()
-    nodes = 0
-    wrong = 0
-    for layer in semantics.layers(
-        semantics.next_states, semantics.EMPTY_STATE, cfg.maga_len
-    ):
-        for state, count in layer.items():
-            t = maga.class_of(state)
-            if t is None:
-                continue
-            nodes += count
-            for obs in OBSERVABLES:
-                if machine.m1(t, obs) != maga.required_answer(state, obs):
-                    wrong += count
+    wrong_answers = [
+        sum(machine.m1(t, obs) != maga.required_answer(s, obs) for obs in OBSERVABLES)
+        if t is not None
+        else 0
+        for s, t in zip(states, classes)
+    ]
+    _, nodes, wrong = _sweep(
+        semantics.live, 0, cfg.maga_len, has_class, wrong_answers.__getitem__
+    )
 
     # exercise the real callables end to end on a sample
     spot_checked, spot_wrong = _spot_check(
@@ -548,12 +561,7 @@ def suite_adapter(cfg: VerifyConfig) -> SuiteResult:
         )
 
     start = (dfa.start, 0)
-    nodes = 0
-    wrong = 0
-    for layer in semantics.layers(successors, start, cfg.exhaustive_len):
-        for node, count in layer.items():
-            nodes += count
-            wrong += count * wrong_answers(node)
+    nodes, wrong = _sweep(successors, start, cfg.exhaustive_len, wrong_answers)
     result.add(
         f"adapter answers match the oracle on every consistent string up to "
         f"length {cfg.exhaustive_len}",

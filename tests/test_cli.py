@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmlang import cli, quantum
+from pmlang import cli, quantum, verify
 from pmlang import semantics as sem
 from pmlang.square import ALPHABET, parse_string
 
@@ -48,6 +48,19 @@ def invoke(argv):
     out = io.StringIO()
     code = cli.run(argv, out=out)
     return code, out.getvalue()
+
+
+def invoke_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = invoke(argv)
+    return code, text, err.getvalue()
+
+
+def assert_one_refusal_line(text, err):
+    assert text == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_validate_accepting_trace_is_byte_exact():
@@ -199,14 +212,10 @@ def test_sample_output_is_pinned():
 @settings(max_examples=60, deadline=None)
 def test_sample_arguments_give_runs_or_one_refusal_line(length, runs, seed):
     argv = ["sample", "--length", str(length), "--runs", str(runs)]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, text = invoke([*argv, "--seed", str(seed), "--check"])
+    code, text, err = invoke_captured([*argv, "--seed", str(seed), "--check"])
     assert code in (0, 2)
     if code == 2:
-        assert text == ""
-        assert "Traceback" not in err.getvalue()
-        assert len(err.getvalue().splitlines()) == 1
+        assert_one_refusal_line(text, err)
     else:
         lines = text.splitlines()
         assert len(lines) == runs
@@ -323,6 +332,10 @@ def test_verify_with_reduced_depths():
         ["--suite", "quantum", "--quantum-trials", "0"],
         ["--suite", "quantum", "--seed", "-5"],
         ["--suite", "bounds", "--qubits-max", "3001"],
+        ["--suite", "grammar", "--exhaustive-len", "7"],
+        ["--suite", "invariants", "--invariant-len", "7"],
+        ["--suite", "maga", "--maga-len", "7"],
+        ["--suite", "invariants", "--invariant-len", "3700", "--random-strings", "10"],
     ],
 )
 def test_verify_rejects_out_of_range_settings(argv, capsys):
@@ -370,17 +383,57 @@ def test_count_refusal_names_the_digit_limit(capsys):
 )
 @settings(max_examples=60, deadline=None)
 def test_bound_and_density_give_rows_or_one_refusal_line(command, qubits, fmt):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, text = invoke([command, "--qubits", str(qubits), "--format", fmt])
+    code, text, err = invoke_captured(
+        [command, "--qubits", str(qubits), "--format", fmt]
+    )
     assert code in (0, 2)
     if code == 2:
-        assert text == ""
-        assert "Traceback" not in err.getvalue()
-        assert len(err.getvalue().splitlines()) == 1
+        assert_one_refusal_line(text, err)
     else:
         rows = json.loads(text)["rows"] if fmt == "json" else text.splitlines()[1:]
         assert len(rows) == qubits
+
+
+@given(
+    st.one_of(st.integers(-5, 300), st.integers(3650, 5000)),
+    st.sampled_from(cli.FORMATS),
+)
+@settings(max_examples=20, deadline=None)
+def test_count_gives_rows_or_one_refusal_line(length, fmt):
+    """Negative lengths and counts past the int-to-str digit limit
+    (from 3656) are refused; everything else prints one row per length."""
+    code, text, err = invoke_captured(
+        ["count", "--max-length", str(length), "--format", fmt]
+    )
+    assert code in (0, 2)
+    if code == 2:
+        assert_one_refusal_line(text, err)
+        assert not 0 <= length < 3656
+        return
+    if fmt == "json":
+        rows = json.loads(text)["rows"]
+    else:  # a header row, and in a table a closing estimate line
+        rows = text.splitlines()[1 : -1 if fmt == "table" else None]
+    assert len(rows) == length + 1
+
+
+@given(
+    st.sampled_from(["grammar", "invariants"]),
+    st.sampled_from(["--exhaustive-len", "--invariant-len", "--maga-len"]),
+    st.integers(-3, 10**4),
+    st.integers(0, 20),
+)
+@settings(max_examples=40, deadline=None)
+def test_verify_depths_give_a_report_or_one_refusal_line(suite, flag, depth, strings):
+    """A depth outside 0..6 is refused before any work."""
+    argv = ["verify", "--suite", suite, "--seed", "1", "--random-strings"]
+    code, text, err = invoke_captured([*argv, str(strings), flag, str(depth)])
+    if 0 <= depth <= verify.MAX_DEPTH:
+        assert (code, err) == (0, "")
+        assert text.endswith(" checks passed\n")
+    else:
+        assert code == 2
+        assert_one_refusal_line(text, err)
 
 
 SYMBOL_BY_TOKEN = {sym.token: sym for sym in ALPHABET}
@@ -411,14 +464,10 @@ def consistent_then_any(draw):
 )
 @settings(max_examples=150, deadline=None)
 def test_validate_and_derive_give_the_step_verdict_or_one_refusal_line(command, tokens):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, text = invoke([command, " ".join(tokens)])
+    code, text, err = invoke_captured([command, " ".join(tokens)])
     if any(tok not in SYMBOL_BY_TOKEN for tok in tokens):
         assert code == 2
-        assert text == ""
-        assert "Traceback" not in err.getvalue()
-        assert len(err.getvalue().splitlines()) == 1
+        assert_one_refusal_line(text, err)
         return
     state = sem.EMPTY_STATE
     for tok in tokens:
@@ -426,7 +475,7 @@ def test_validate_and_derive_give_the_step_verdict_or_one_refusal_line(command, 
         if state is None:
             break
     assert code == (0 if state is not None else 1)
-    assert err.getvalue() == ""
+    assert err == ""
 
 
 def test_main_reports_an_internal_error_in_one_line(monkeypatch, capsys):
@@ -453,10 +502,6 @@ def test_main_reports_an_internal_error_in_one_line(monkeypatch, capsys):
 
 
 def test_run_suites_rejects_unknown_names():
-    import pytest
-
-    from pmlang import verify
-
     with pytest.raises(ValueError):
         verify.run_suites(["nonsense"], verify.VerifyConfig(seed=1))
     names = [s.suite for s in verify.run_suites(["parity"], verify.VerifyConfig(seed=1))]

@@ -150,7 +150,7 @@ def test_equal_symbols_and_states_hash_equal():
         twin = sem.DeterminationState(state.values)
         assert twin is not state
         assert twin == state and hash(twin) == hash(state)
-        assert sem.next_states(twin) == sem.next_states(state)
+        assert all(sem.step(twin, sym) is sem.step(state, sym) for sym in sq.ALPHABET)
 
 
 def test_rank_sampler_matches_a_lexicographic_listing():
@@ -180,16 +180,30 @@ def test_rank_sampler_matches_a_lexicographic_listing():
 def test_exhaustive_walk_depth_three():
     """Well-formedness and context persistence over all consistent
     strings of length up to three."""
-    def successors(node):
-        state, _ = node
-        has_context = sem.determined_context(state) is not None
-        return [(child, has_context) for child in sem.next_states(state)]
+    states = sem.reachable_states()
 
-    for layer in sem.layers(successors, (sem.EMPTY_STATE, False), 3):
-        for state, had_context in layer:
-            assert sem.state_is_well_formed(state)
+    def successors(node):
+        q, _ = node
+        has_context = sem.determined_context(states[q]) is not None
+        return [(r, has_context) for r in sem.live(q)]
+
+    for layer in sem.layers(successors, (0, False), 3):
+        for q, had_context in layer:
+            assert sem.state_is_well_formed(states[q])
             if had_context:
-                assert sem.determined_context(state) is not None
+                assert sem.determined_context(states[q]) is not None
+
+
+def test_well_formed_exactly_on_the_reachable_states():
+    """Of all 3^9 value assignments, the invariant admits exactly the 43
+    reachable states: a wrong sign, a partial context or a fourth value
+    is refused."""
+    admitted = {
+        values
+        for values in itertools.product((0, 1, -1), repeat=9)
+        if sem.state_is_well_formed(sem.DeterminationState(values))
+    }
+    assert admitted == {s.values for s in sem.reachable_states()}
 
 
 # -- property-based checks ------------------------------------------------
