@@ -3,15 +3,18 @@ minimization, exact word counting, and the hidden-variable bit curve.
 
 Counting is done with exact integers end to end; the only float in a
 report is the growth-rate estimate taken from the final count ratio.
+Their decimal digits come from the same recurrence run in exact decimal
+arithmetic, whose conversion to str takes linear time.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .semantics import reachable
 from .square import ALPHABET, SignedSymbol
@@ -253,6 +256,38 @@ def count_words(dfa: Dfa, n_max: int) -> CountReport:
     # int / int is correctly rounded, as float(Fraction(...)) is
     rate = counts[-1] / counts[-2] if n_max else None
     return CountReport(tuple(counts), tuple(accumulate(counts)), rate, recurrence)
+
+
+def decimal_rows(report: CountReport) -> Iterator[tuple[str, str]]:
+    """``str`` of each count and running sum of ``report``, one length
+    at a time.
+
+    CPython's int-to-str takes time quadratic in the digits, and
+    decimal's takes linear time.  So the report's recurrence runs a
+    second time in ``decimal``, keeping only its last L terms.  The
+    precision covers the largest partial sum of a step, at most
+    sum |a_i| times the largest count, and the final running sum.
+    ``Inexact`` and ``Rounded`` are trapped, so every step is exact or
+    raises.
+    """
+    counts, recurrence = report.counts, report.recurrence
+    largest = max(report.cumulative[-1], sum(map(abs, recurrence)) * max(counts))
+    # digits of largest <= ceil(bits * log10 2), and log10 2 < 0.30103
+    ctx = decimal.Context(prec=largest.bit_length() * 30103 // 100000 + 2)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    taps = [(i, ctx.create_decimal(a)) for i, a in enumerate(recurrence, 1) if a]
+    recent = [ctx.create_decimal(c) for c in counts[: len(recurrence)]]
+    total = ctx.create_decimal(0)
+    for n in range(len(counts)):
+        if n < len(recurrence):
+            term = recent[n]
+        else:
+            term = ctx.create_decimal(0)
+            for i, a in taps:
+                term = ctx.fma(a, recent[-i], term)
+            recent = recent[1:] + [term]
+        total = ctx.add(total, term)
+        yield str(term), str(total)
 
 
 @dataclass(frozen=True)

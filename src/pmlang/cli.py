@@ -10,7 +10,6 @@ identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -41,9 +40,11 @@ def _emit_rows(headers, rows, fmt, out, extra: dict | None = None):
             for key, value in extra.items():
                 print(f"{key}: {value}", file=out)
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
+        # every cell is a number or a fixed word, so none needs quoting;
+        # one write per row keeps a long output streaming
+        out.write(",".join(headers) + "\n")
+        for row in rows:
+            out.write(",".join(map(str, row)) + "\n")
     else:
         payload = {"rows": [dict(zip(headers, row)) for row in rows]}
         if extra:
@@ -186,10 +187,14 @@ def cmd_count(args, out) -> int:
         return 2
     curve = automata.hv_bits(report)
     headers = ["n", "count", "cumulative", "bits"]
-    rows = [
-        [n, report.counts[n], report.cumulative[n], curve.bits[n]]
-        for n in range(args.max_length + 1)
-    ]
+    if args.format == "json":
+        cells = zip(report.counts, report.cumulative)
+    else:  # digit strings in linear time per value
+        cells = automata.decimal_rows(report)
+    rows = (
+        [n, count, total, bits]
+        for n, ((count, total), bits) in enumerate(zip(cells, curve.bits))
+    )
     extra = {"dominant_rate_estimate": report.dominant_rate_estimate}
     _emit_rows(headers, rows, args.format, out, extra if args.format != "csv" else None)
     return 0
@@ -294,7 +299,25 @@ def cmd_verify(args, out) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error in one stderr line, without the usage text;
-    subparsers are built from the same class."""
+    subparsers are built from the same class.
+
+    With ``dash_string``, a lone argument that begins with "-" and names
+    none of the options is the positional string, so ``validate -A``
+    reaches the tokenizer, as ``validate -- -A`` does."""
+
+    def __init__(self, *args, dash_string=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dash_string = dash_string
+
+    def parse_known_args(self, args=None, namespace=None):
+        if (
+            self.dash_string
+            and len(args) == 1
+            and args[0].startswith("-")
+            and not any(o.startswith(args[0]) for o in self._option_string_actions)
+        ):
+            args = ["--", *args]
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.exit(2, f"error: {' '.join(message.split())}\n")
@@ -309,14 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    string_help = (
-        'token string, e.g. "A B c ~gamma"; one that begins with "-" goes after "--"'
+    string_help = 'token string, e.g. "A B c ~gamma"'
+    p = sub.add_parser(
+        "validate",
+        dash_string=True,
+        help="check a measurement string and show the trace",
     )
-    p = sub.add_parser("validate", help="check a measurement string and show the trace")
     p.add_argument("string", help=string_help)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("derive", help="print a witness derivation")
+    p = sub.add_parser("derive", dash_string=True, help="print a witness derivation")
     p.add_argument("string", help=string_help)
     p.set_defaults(func=cmd_derive)
 

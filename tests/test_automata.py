@@ -3,6 +3,7 @@ oracle, exact counting against brute force, and the bit curve."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,29 @@ def test_counts_match_the_closed_form_at_length_1000():
     n = 1000
     report = au.count_words(minimal_dfa(), n)
     assert report.counts[n] == (24 * 15**n - 10 * 9**n) // 15
+
+
+def _as_str(report):
+    return [(str(c), str(s)) for c, s in zip(report.counts, report.cumulative)]
+
+
+def test_decimal_rows_are_str_of_the_counts_up_to_the_digit_limit():
+    # the longest count that `count` prints; str() of its integers needs
+    # the limit lifted
+    report = au.count_words(minimal_dfa(), 3655)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert list(au.decimal_rows(report)) == _as_str(report)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_rows_shorter_than_the_recurrence():
+    m = minimal_dfa()
+    for n in range(4):
+        report = au.count_words(m, n)
+        assert list(au.decimal_rows(report)) == _as_str(report)
 
 
 def test_dominant_rate_estimate_is_the_correctly_rounded_last_ratio():

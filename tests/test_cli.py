@@ -2,10 +2,12 @@
 reference strings, machine formats, and seeded reproducibility."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -130,6 +132,28 @@ def test_count_json():
     assert "dominant_rate_estimate" in payload
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--max-length", "0"],
+        ["count", "--max-length", "4"],
+        ["count", "--max-length", "1000"],
+        ["bound", "--qubits", "20"],
+        ["density", "--qubits", "300"],
+    ],
+)
+def test_csv_is_what_csv_writer_writes(argv):
+    """The csv rows are joined by hand; the same rows, read from the json
+    output, go through ``csv.writer`` to the same text."""
+    _, text = invoke([*argv, "--format", "csv"])
+    rows = json.loads(invoke([*argv, "--format", "json"])[1])["rows"]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
+    assert text == expected.getvalue()
+
+
 def test_bound_table_contains_the_three_qubit_row():
     code, text = invoke(["bound", "--qubits", "3"])
     assert code == 0
@@ -183,6 +207,40 @@ def test_dfa_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert not target.parent.exists()
+
+
+def invoke_main(argv):
+    """``cli.main`` as a fresh process runs it: the exit code, stdout and
+    stderr, with internal errors reported as exit 3."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.object(sys, "argv", ["pmlang", *argv]),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        pytest.raises(SystemExit) as exit_,
+    ):
+        cli.main()
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+@given(
+    st.booleans(),
+    st.booleans(),
+    st.one_of(st.none(), st.sampled_from(cli.FORMATS)),
+    st.permutations(range(3)),
+)
+@settings(max_examples=30, deadline=None)
+def test_dfa_flags_give_a_table_or_one_refusal_line(dot, raw, fmt, order):
+    """``dfa`` has no ``--format``: drawing one is a usage error."""
+    flags = [["--emit", "dot"] if dot else [], ["--raw"] if raw else []]
+    flags.append(["--format", fmt] if fmt else [])
+    code, text, err = invoke_main(["dfa", *(f for i in order for f in flags[i])])
+    if fmt is None:
+        assert (code, err) == (0, "")
+        assert text.startswith("digraph dfa {" if dot else "property")
+    else:
+        assert code == 2
+        assert_one_refusal_line(text, err)
 
 
 def test_sample_is_reproducible_and_checked():
@@ -478,6 +536,18 @@ def test_validate_and_derive_give_the_step_verdict_or_one_refusal_line(command, 
     assert err == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "derive"])
+def test_a_string_that_begins_with_a_dash_names_the_bad_token(command, capsys):
+    for argv in ([command, "-A"], [command, "--", "-A"]):
+        code, text = invoke(argv)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: token 1: unrecognized token '-A'\n"
+    with pytest.raises(SystemExit) as exit_:
+        invoke([command, "--help"])
+    assert exit_.value.code == 0
+    assert f"usage: pmlang {command}" in capsys.readouterr().out
+
+
 def test_main_reports_an_internal_error_in_one_line(monkeypatch, capsys):
     def broken(args, out):
         raise RuntimeError("table\nbroken")
@@ -513,7 +583,6 @@ def test_usage_errors_exit_two(capsys):
         ["count", "--max-length"],
         ["nonsense"],
         ["validate"],
-        ["validate", "-A"],
         ["count"],
         ["count", "--max-length", "3", "--format", "bogus"],
     ):
