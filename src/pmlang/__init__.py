@@ -48,6 +48,20 @@ from .maga import (
     scaling_report,
     verify_disagreement_claim,
 )
-from .quantum import QState, PauliObservable, measure, sample_run, standard_square
+
+# The simulator needs numpy, which only sampling uses, so its names are
+# imported on first access (PEP 562) rather than with the package.
+_QUANTUM_NAMES = frozenset(
+    {"QState", "PauliObservable", "measure", "sample_run", "standard_square"}
+)
+
+
+def __getattr__(name: str):
+    if name in _QUANTUM_NAMES:
+        from . import quantum
+
+        return getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import or_
 from typing import Any, Iterable, Iterator, Mapping
 
 from .semantics import reachable
@@ -105,25 +106,37 @@ class Dfa:
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction; the empty subset becomes the dead state.
 
-    State numbering follows discovery order (BFS by alphabet index), so
-    the result is deterministic.
+    A subset is an int with bit i set for the NFA state of index i.  The
+    states are indexed once, and each (state, symbol) pair gets the mask
+    of its successors, so a step ORs the masks of the subset's bits and
+    hashes no NFA state.  State numbering follows discovery order (BFS
+    by alphabet index), the same as subsets built by ``Nfa.step`` give,
+    so the result is deterministic.
     """
     if nfa.alphabet != ALPHABET:
         raise ValueError("expected the canonical 18-symbol alphabet")
-    rows: dict[frozenset, tuple[frozenset, ...]] = {}
-    # one object per distinct subset, so the rows hold no equal copies
-    canonical: dict[frozenset, frozenset] = {}
+    index = {state: i for i, state in enumerate(nfa.states | {nfa.start})}
+    masks = [[0] * len(ALPHABET) for _ in index]
+    for src, sym, dst in nfa.transitions:
+        masks[index[src]][sym.index] |= 1 << index[dst]
+    rows: dict[int, tuple[int, ...]] = {}
 
-    def successors(subset: frozenset) -> tuple[frozenset, ...]:
-        row = (nfa.step(subset, sym) for sym in nfa.alphabet)
-        rows[subset] = tuple(canonical.setdefault(s, s) for s in row)
+    def successors(subset: int) -> tuple[int, ...]:
+        row = [0] * len(ALPHABET)
+        rest = subset
+        while rest:
+            low = rest & -rest  # the lowest set bit
+            row = list(map(or_, row, masks[low.bit_length() - 1]))
+            rest ^= low
+        rows[subset] = tuple(row)
         return rows[subset]
 
-    order = reachable(successors, frozenset([nfa.start]))
+    order = reachable(successors, 1 << index[nfa.start])
     ids = {subset: i for i, subset in enumerate(order)}
     delta = tuple(tuple(ids[succ] for succ in rows[subset]) for subset in order)
-    accepting = frozenset(i for i, subset in enumerate(order) if subset & nfa.accepting)
-    return Dfa(nfa.alphabet, delta, 0, accepting, ids.get(_EMPTY))
+    final = sum(1 << index[s] for s in nfa.accepting if s in index)
+    accepting = frozenset(i for i, subset in enumerate(order) if subset & final)
+    return Dfa(nfa.alphabet, delta, 0, accepting, ids.get(0))
 
 
 def minimize(dfa: Dfa) -> Dfa:

@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from . import automata, grammar, maga, quantum, semantics, verify
+from . import automata, grammar, maga, semantics, verify
 from .square import TokenError, format_string, parse_string
 
 FORMATS = ("table", "csv", "json")
@@ -46,10 +46,28 @@ def _emit_rows(headers, rows, fmt, out, extra: dict | None = None):
         for row in rows:
             out.write(",".join(map(str, row)) + "\n")
     else:
-        payload = {"rows": [dict(zip(headers, row)) for row in rows]}
-        if extra:
-            payload.update(extra)
-        print(json.dumps(payload, indent=2), file=out)
+        _write_json(headers, rows, out, extra)
+
+
+def _write_json(headers, rows, out, extra: dict | None) -> None:
+    """What ``json.dumps({"rows": [...], **extra}, indent=2)`` prints,
+    written one row at a time.  A str cell holds the digits of a
+    number and is written as it is, so no count goes through int-to-str."""
+
+    def value(cell) -> str:
+        return cell if isinstance(cell, str) else json.dumps(cell)
+
+    keys = [json.dumps(h) for h in headers]
+    out.write('{\n  "rows": [')
+    sep = "\n"
+    for row in rows:
+        fields = ",\n".join(f"      {k}: {value(c)}" for k, c in zip(keys, row))
+        out.write(f"{sep}    {{\n{fields}\n    }}")
+        sep = ",\n"
+    out.write("]" if sep == "\n" else "\n  ]")  # an empty list is "[]"
+    for key, cell in (extra or {}).items():
+        out.write(f",\n  {json.dumps(key)}: {value(cell)}")
+    out.write("\n}\n")
 
 
 # ------------------------------------------------------------ validate
@@ -187,13 +205,11 @@ def cmd_count(args, out) -> int:
         return 2
     curve = automata.hv_bits(report)
     headers = ["n", "count", "cumulative", "bits"]
-    if args.format == "json":
-        cells = zip(report.counts, report.cumulative)
-    else:  # digit strings in linear time per value
-        cells = automata.decimal_rows(report)
-    rows = (
+    rows = (  # digit strings in linear time per value
         [n, count, total, bits]
-        for n, ((count, total), bits) in enumerate(zip(cells, curve.bits))
+        for n, ((count, total), bits) in enumerate(
+            zip(automata.decimal_rows(report), curve.bits)
+        )
     )
     extra = {"dominant_rate_estimate": report.dominant_rate_estimate}
     _emit_rows(headers, rows, args.format, out, extra if args.format != "csv" else None)
@@ -259,6 +275,8 @@ def cmd_density(args, out) -> int:
 
 
 def cmd_sample(args, out) -> int:
+    from . import quantum  # numpy is loaded only by the commands that use it
+
     failures = 0
     for run in quantum.sample_many(args.runs, args.length, args.seed):
         line = format_string(run)

@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Callable, Hashable, Iterable, Iterator
 
-import numpy as np
-
-from . import automata, grammar, maga, quantum, semantics
+from . import automata, grammar, maga, semantics
 from .square import (
     ALPHABET,
     CONTEXTS,
@@ -638,6 +636,10 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteResult:
 
 
 def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
+    import numpy as np  # only this suite needs numpy
+
+    from . import quantum
+
     result = SuiteResult("quantum")
     # the unchecked table, so that a broken operator fails this line
     # instead of raising in standard_square()

@@ -37,6 +37,50 @@ def test_determinize_trivial_universal_nfa():
     assert dfa.accepts(sq.parse_string("A ~A gamma"))
 
 
+def reference_determinize(nfa):
+    """The subset construction over frozensets through ``Nfa.step``, in
+    the same discovery order: its delta, accepting ids and dead id."""
+    rows = {}
+
+    def successors(subset):
+        rows[subset] = [nfa.step(subset, sym) for sym in nfa.alphabet]
+        return rows[subset]
+
+    order = sem.reachable(successors, frozenset([nfa.start]))
+    ids = {subset: i for i, subset in enumerate(order)}
+    delta = tuple(tuple(ids[s] for s in rows[subset]) for subset in order)
+    accepting = frozenset(i for i, s in enumerate(order) if s & nfa.accepting)
+    return delta, accepting, ids.get(frozenset())
+
+
+def hand_made_nfa():
+    """An accepting start, a state that nothing reaches, and symbols with
+    no transition, so the empty subset is reached."""
+    A, B, c = sq.parse_string("A B c")
+    transitions = [
+        ("s", A, "a"), ("s", B, "a"), ("s", B, "b"), ("a", A, "s"),
+        ("b", c, "b"), ("b", c, "a"), ("u", A, "s"), ("u", c, "u"),
+    ]
+    return au.Nfa(
+        states=frozenset("sabu"),
+        alphabet=sq.ALPHABET,
+        transitions=frozenset(transitions),
+        start="s",
+        accepting=frozenset("sbu"),
+    )
+
+
+@pytest.mark.parametrize("make", [gr.to_nfa, hand_made_nfa])
+def test_determinize_matches_the_frozenset_subset_construction(make):
+    nfa = make()
+    dfa = au.determinize(nfa)
+    assert (dfa.delta, dfa.accepting, dfa.dead) == reference_determinize(nfa)
+    if make is gr.to_nfa:
+        assert (dfa.num_states, dfa.dead) == (164, 19)
+    else:  # {s}, {a}, the empty set, {a, b}; "u" is in no subset
+        assert (dfa.num_states, dfa.accepting, dfa.dead) == (4, frozenset({0, 3}), 2)
+
+
 def test_determinize_preserves_the_language():
     dfa = language_dfa()
     assert dfa.accepts(sq.parse_string("A B c ~gamma"))

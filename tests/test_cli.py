@@ -6,7 +6,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmlang import cli, quantum, verify
+from pmlang import automata, cli, quantum, verify
 from pmlang import semantics as sem
 from pmlang.square import ALPHABET, parse_string
 
@@ -132,6 +135,39 @@ def test_count_json():
     assert "dominant_rate_estimate" in payload
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 88, 89, 1000, 3000])
+def test_count_json_is_what_json_dumps_writes(n):
+    """The json rows are written from digit strings; ``json.dumps`` of the
+    exact integers gives the same text.  The recurrence takes over from
+    the DP at 88."""
+    report = automata.count_words(verify.minimal_dfa(), n)
+    cells = zip(report.counts, report.cumulative, automata.hv_bits(report).bits)
+    payload = {
+        "rows": [
+            {"n": i, "count": count, "cumulative": total, "bits": bits}
+            for i, (count, total, bits) in enumerate(cells)
+        ],
+        "dominant_rate_estimate": report.dominant_rate_estimate,
+    }
+    code, text = invoke(["count", "--max-length", str(n), "--format", "json"])
+    assert (code, text) == (0, json.dumps(payload, indent=2) + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["bound", "--qubits", "20"], ["density", "--qubits", "300"]]
+)
+def test_json_rows_are_what_json_dumps_writes(argv):
+    code, text = invoke([*argv, "--format", "json"])
+    assert code == 0
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_json_of_no_rows_is_an_empty_list():
+    out = io.StringIO()
+    cli._write_json(["n"], [], out, {"estimate": None})
+    assert out.getvalue() == json.dumps({"rows": [], "estimate": None}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -182,6 +218,26 @@ def test_dfa_dot_emission():
     assert text.startswith("digraph dfa {")
     assert "doublecircle" in text
     assert 'label="dead"' in text
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["dfa", "--raw", "--emit", "dot"],
+            "1f5b77170e911cbedb75b31a91783c6b2eaba4b4d7aca12f7853165d99dcccd9",
+        ),
+        (
+            ["dfa", "--emit", "dot"],
+            "9014e55bf9f8caeb90b5ad858f9dd47cae7e7558c309559c5b36a70b0c61d1b2",
+        ),
+    ],
+)
+def test_dfa_dot_output_is_pinned(argv, digest):
+    """The state numbering of both automata, their edges and labels."""
+    code, text = invoke(argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_dfa_stats():
@@ -241,6 +297,49 @@ def test_dfa_flags_give_a_table_or_one_refusal_line(dot, raw, fmt, order):
     else:
         assert code == 2
         assert_one_refusal_line(text, err)
+
+
+LAZY_IMPORT_SCRIPTS = [
+    """
+    import io, sys
+    from pmlang import cli
+    for argv in (["validate", "A B c"], ["count", "--max-length", "5"], ["dfa"]):
+        assert cli.run(argv, out=io.StringIO()) == 0, argv
+    assert "numpy" not in sys.modules and "pmlang.quantum" not in sys.modules
+    assert cli.run(["sample", "--length", "3", "--seed", "1"], io.StringIO()) == 0
+    assert "numpy" in sys.modules and "pmlang.quantum" in sys.modules
+    """,
+    """
+    import sys
+    import pmlang
+    assert "numpy" not in sys.modules
+    from pmlang import QState
+    assert QState is sys.modules["pmlang.quantum"].QState
+    try:
+        pmlang.no_such_name
+    except AttributeError as err:
+        assert "no_such_name" in str(err)
+    else:
+        raise AssertionError("pmlang.no_such_name did not raise")
+    """,
+]
+
+
+@pytest.mark.parametrize("script", LAZY_IMPORT_SCRIPTS, ids=["cli", "package"])
+def test_only_the_simulator_loads_numpy(script):
+    """In a fresh process, commands that do not sample leave numpy and
+    the simulator unloaded; ``sample`` and the package's quantum names
+    load them."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_sample_is_reproducible_and_checked():
