@@ -322,7 +322,7 @@ def hv_bits(report: CountReport) -> HvBitCurve:
 
 
 def shortest_words(dfa: Dfa) -> dict[int, tuple[SignedSymbol, ...]]:
-    """A shortest word reaching each state, by BFS; used for labelling."""
+    """A shortest word reaching each state, by BFS."""
     words: dict[int, tuple[SignedSymbol, ...]] = {dfa.start: ()}
 
     def successors(q: int) -> tuple[int, ...]:

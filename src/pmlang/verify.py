@@ -12,10 +12,9 @@ tightened or loosened from the command line.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from typing import Callable, Hashable, Iterable, Iterator
+from functools import lru_cache
+from typing import Callable, Hashable, Iterable
 
 from . import automata, grammar, maga, semantics
 from .square import (
@@ -28,8 +27,8 @@ from .square import (
 )
 
 
-# The exhaustive sweeps cost little, but the spot checks draw once per
-# kept string, and those grow as 15^n (289,314,559 strings at length 7).
+# The sweeps cost time linear in depth: the ceiling is the documented
+# usage limit, far below lengths whose counts pass int-to-str's limit.
 MAX_DEPTH = 6
 
 
@@ -112,8 +111,33 @@ def _sweep(
     return totals
 
 
-def _random_string(rng: random.Random, max_len: int) -> tuple[SignedSymbol, ...]:
-    return tuple(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len)))
+_FOLD_BLOCK = 4096
+
+
+def _random_folds(cfg: VerifyConfig, seed: int, delta, *checks) -> list[int]:
+    """Fold ``cfg.random_strings`` seeded random strings, each of a
+    uniform random length 0..``cfg.random_max_len``, through the integer
+    table ``delta`` from state 0, and count for each check (a 0/1 table
+    of the same shape) the strings that take an edge it flags.  The
+    strings go _FOLD_BLOCK at a time, one symbol column per step, so
+    memory does not grow with their number or length."""
+    import numpy as np  # only the random folds and the quantum suite need numpy
+
+    table = np.array(delta)
+    flags = np.array(checks, dtype=bool)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(checks), dtype=int)
+    for done in range(0, cfg.random_strings, _FOLD_BLOCK):
+        size = min(_FOLD_BLOCK, cfg.random_strings - done)
+        lengths = rng.integers(0, cfg.random_max_len, size, endpoint=True)
+        q = np.zeros(size, dtype=int)
+        hit = np.zeros((len(checks), size), dtype=bool)
+        for t in range(cfg.random_max_len):
+            s = rng.integers(0, len(ALPHABET), size)
+            hit |= flags[:, q, s] & (t < lengths)
+            q = np.where(t < lengths, table[q, s], q)
+        counts += hit.sum(axis=1)
+    return counts.tolist()
 
 
 # ---------------------------------------------------------------- parity
@@ -166,8 +190,7 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
         nset, q = node
         return bool(nset & nfa.accepting) != (q != semantics.CLASH)
 
-    nfa_start = frozenset([nfa.start])
-    start = (nfa_start, 0)
+    start = (frozenset([nfa.start]), 0)
     strings, mismatches = _sweep(successors, start, cfg.exhaustive_len, mismatched)
     result.add(
         f"derivability matches consistency on all strings up to length "
@@ -184,13 +207,20 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
         f"{len(pairs)} pairs, {bad_pairs} mismatches",
     )
 
-    rng = random.Random(cfg.seed)
-    bad = 0
-    for _ in range(cfg.random_strings):
-        w = _random_string(rng, cfg.random_max_len)
-        derivable = bool(reduce(nfa_step, w, nfa_start) & nfa.accepting)
-        if derivable != semantics.is_consistent(w):
-            bad += 1
+    # The subset table beside the oracle's, over their reachable pairs;
+    # a string counts once if a nonempty prefix ends at a mismatched pair.
+    dfa = _pipeline()[1]
+
+    def pair_successors(node):
+        d, q = node
+        return zip(dfa.delta[d], semantics.DELTA[q])
+
+    product = semantics.reachable(pair_successors, (dfa.start, 0))
+    index = {pair: i for i, pair in enumerate(product)}
+    rows = [[index[p] for p in pair_successors(pair)] for pair in product]
+    mismatch = [(d in dfa.accepting) != (q != semantics.CLASH) for d, q in product]
+    flags = [[mismatch[r] for r in row] for row in rows]
+    (bad,) = _random_folds(cfg, cfg.seed, rows, flags)
     result.add(
         f"derivability matches consistency on {cfg.random_strings} random "
         f"strings up to length {cfg.random_max_len}",
@@ -235,6 +265,7 @@ def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
 
     states = semantics.reachable_states()
     ids = range(len(states))
+    delta, clash = semantics.DELTA, semantics.CLASH
     full = [
         sum(all(s.values[o.index] for o in ctx.members) for ctx in CONTEXTS)
         for s in states
@@ -270,9 +301,9 @@ def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
         persistence_broken == 0,
         f"{persistence_broken} violations",
     )
-    edges = [(q, r) for q in ids for r in semantics.live(q)]
+    edges = [(q, s, r) for q in ids for s, r in enumerate(delta[q]) if r != clash]
     violations = sum(not well_formed[q] or full[q] > 1 for q in ids) + sum(
-        full[q] > 0 and full[r] == 0 for q, r in edges
+        full[q] > 0 and full[r] == 0 for q, _, r in edges
     )
     result.add(
         "well-formedness, at most one context and persistence hold on every "
@@ -281,18 +312,13 @@ def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
         f"{len(states)} states, {len(edges)} edges, {violations} violations",
     )
 
-    rng = random.Random(cfg.seed + 1)
-    prefix_bad = 0
-    repeat_bad = 0
-    for _ in range(cfg.random_strings):
-        w = _random_string(rng, cfg.random_max_len)
-        # maximal consistent prefix of a random string
-        good = len(semantics.trace(w).states)
-        prefix = w[:good]
-        if not all(semantics.is_consistent(prefix[:k]) for k in range(good + 1)):
-            prefix_bad += 1
-        if prefix and not semantics.is_consistent(prefix + (prefix[-1],)):
-            repeat_bad += 1
+    # flag a fold that leaves the sink, and a step whose repeat clashes
+    leaves = [[q == clash and r != clash for r in row] for q, row in enumerate(delta)]
+    repeats = [
+        [r != clash and delta[r][s] == clash for s, r in enumerate(row)]
+        for row in delta
+    ]
+    prefix_bad, repeat_bad = _random_folds(cfg, cfg.seed + 1, delta, leaves, repeats)
     result.add(
         f"prefixes of consistent strings are consistent ({cfg.random_strings} "
         "random strings)",
@@ -303,6 +329,15 @@ def suite_invariants(cfg: VerifyConfig) -> SuiteResult:
         "repeating the last measurement preserves consistency",
         repeat_bad == 0,
         f"{repeat_bad} violations",
+    )
+    broken = sum(r != clash for r in delta[clash])
+    broken += sum(delta[r][s] != r for _, s, r in edges)
+    result.add(
+        "the clash sink is absorbing and a repeated consistent measurement "
+        "stays put, so prefix closure and repetition hold on strings of "
+        "every length",
+        broken == 0,
+        f"{len(edges)} edges, {broken} violations",
     )
     return result
 
@@ -375,63 +410,33 @@ def _answer(m1_or_output, *args):
         return None
 
 
-Keep = Callable[[semantics.DeterminationState], bool]
-
-
-def _sample_strings(
-    max_len: int, keep: Keep, rng: random.Random
-) -> Iterator[tuple[SignedSymbol, ...]]:
-    """A seeded 0.2% sample of the consistent strings up to ``max_len``
-    whose final state passes ``keep``.
-
-    The kept strings are taken in lexicographic order by symbol index
-    (a prefix before its extensions) and each gets one ``rng.random()``
-    draw.  A picked string is rebuilt from its rank, so the strings
-    themselves are never listed: ``counts[k][q]`` is the number of kept
-    strings of at most ``k`` symbols that continue a history in state
-    ``q``, the empty continuation included.
-    """
-    delta = semantics.DELTA
-    kept = [int(keep(state)) for state in semantics.reachable_states()] + [0]
-    counts = [kept]  # the clash sink keeps nothing, so it counts 0
-    for _ in range(max_len):
-        prev = counts[-1]
-        counts.append(
-            [kept[q] + sum(prev[r] for r in row) for q, row in enumerate(delta)]
-        )
-    for rank in range(counts[max_len][0]):
-        if rng.random() >= 0.002:
-            continue
-        # Walk down from the empty history; ``rank`` counts the kept
-        # strings still to skip, and goes negative at the picked one.
-        w = []
-        q = 0
-        rank -= kept[q]
-        while rank >= 0:
-            below = counts[max_len - len(w) - 1]
-            for sym, r in zip(ALPHABET, delta[q]):
-                if rank < below[r]:
-                    break
-                rank -= below[r]
-            w.append(sym)
-            q = r
-            rank -= kept[q]
-        yield tuple(w)
+def _transition_cover() -> list[tuple[SignedSymbol, ...]]:
+    """The oracle's transition cover (Chow 1978): for each consistent
+    edge q -s-> r, a shortest string to q followed by s."""
+    delta, clash = semantics.DELTA, semantics.CLASH
+    oracle = automata.Dfa(ALPHABET, delta, 0, frozenset(range(clash)), clash)
+    words = automata.shortest_words(oracle)
+    return [
+        words[q] + (sym,)
+        for q in range(clash)
+        for sym, r in zip(ALPHABET, delta[q])
+        if r != clash
+    ]
 
 
 def _spot_check(
-    machine: maga.MagaSpec, max_len: int, keep: Keep, rng: random.Random
+    machine: maga.MagaSpec, keep: Callable[[semantics.DeterminationState], object]
 ) -> tuple[int, int]:
-    """Run the full interface ``machine.output`` against the oracle on a
-    sample of strings; returns (strings checked, wrong answers)."""
-    checked = 0
-    wrong = 0
-    for w in _sample_strings(max_len, keep, rng):
-        checked += 1
-        for obs in OBSERVABLES:
-            if _answer(machine.output, w, obs) != maga.expected_output(w, obs):
-                wrong += 1
-    return checked, wrong
+    """Run the full interface ``machine.output`` against the oracle on
+    the transition cover strings whose final state passes ``keep``;
+    returns (strings checked, wrong answers)."""
+    strings = [w for w in _transition_cover() if keep(semantics.final_state(w))]
+    wrong = sum(
+        _answer(machine.output, w, obs) != maga.expected_output(w, obs)
+        for w in strings
+        for obs in OBSERVABLES
+    )
+    return len(strings), wrong
 
 
 def suite_maga(cfg: VerifyConfig) -> SuiteResult:
@@ -502,13 +507,8 @@ def suite_maga(cfg: VerifyConfig) -> SuiteResult:
         semantics.live, 0, cfg.maga_len, has_class, wrong_answers.__getitem__
     )
 
-    # exercise the real callables end to end on a sample
-    spot_checked, spot_wrong = _spot_check(
-        machine,
-        cfg.maga_len,
-        lambda state: semantics.determined_context(state) is not None,
-        random.Random(cfg.seed + 2),
-    )
+    # exercise the real callables end to end on every edge of the oracle
+    spot_checked, spot_wrong = _spot_check(machine, semantics.determined_context)
     result.add(
         f"reference machine answers match the oracle on every "
         f"context-determining string up to length {cfg.maga_len}",
@@ -569,9 +569,7 @@ def suite_adapter(cfg: VerifyConfig) -> SuiteResult:
 
     pairs = semantics.reachable(successors, start)
     bad = sum(map(wrong_answers, pairs))
-    spot_checked, spot_wrong = _spot_check(
-        machine, cfg.exhaustive_len, lambda state: True, random.Random(cfg.seed + 7)
-    )
+    spot_checked, spot_wrong = _spot_check(machine, lambda state: True)
     result.add(
         "adapter answers match the oracle on every reachable (DFA state, "
         "oracle state) pair, so on strings of every length",

@@ -303,7 +303,12 @@ LAZY_IMPORT_SCRIPTS = [
     """
     import io, sys
     from pmlang import cli
-    for argv in (["validate", "A B c"], ["count", "--max-length", "5"], ["dfa"]):
+    for argv in (
+        ["validate", "A B c"],
+        ["count", "--max-length", "5"],
+        ["dfa"],
+        ["verify", "--suite", "counting", "--seed", "1"],
+    ):
         assert cli.run(argv, out=io.StringIO()) == 0, argv
     assert "numpy" not in sys.modules and "pmlang.quantum" not in sys.modules
     assert cli.run(["sample", "--length", "3", "--seed", "1"], io.StringIO()) == 0
@@ -453,6 +458,15 @@ def test_verify_with_reduced_depths():
     )
     assert code == 0
     assert "FAIL" not in text
+    # no random strings, or only empty ones: nothing to fold
+    for suite in ("grammar", "invariants"):
+        for flag in ("--random-strings", "--random-max-len"):
+            code, text = invoke(
+                ["verify", "--suite", suite, "--seed", "3", "--exhaustive-len", "2"]
+                + ["--invariant-len", "2", flag, "0"]
+            )
+            assert code == 0
+            assert "FAIL" not in text and text.endswith(" checks passed\n")
 
     # every suite at the benchmark's depths; pins the whole report and
     # the counts it gives
@@ -464,15 +478,15 @@ def test_verify_with_reduced_depths():
     assert "FAIL" not in text
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "b0d1b39a1ca281957d88eb7919ddacb1fb7017a236c3f45a9c660890e71e79f8"
+        == "66d4adc2f96a6a45ba0fe821f084157f3f3b3181adf7532e803b67e08396be30"
     )
     for detail in (
         "(6175 strings, 0 mismatches)",
         "(81865 states visited, 0 malformed)",
         "(24 classes over 3600 context-determining strings)",
-        "(67104 strings x 9 observables, 0 wrong; 143 full-interface spot checks)",
+        "(67104 strings x 9 observables, 0 wrong; 504 full-interface spot checks)",
         "(5239 strings x 9 observables, 0 wrong)",
-        "(43 pairs x 9 observables, 0 wrong; 11 full-interface spot checks)",
+        "(43 pairs x 9 observables, 0 wrong; 684 full-interface spot checks)",
         "(6286 determined predictions, 0 wrong)",
     ):
         assert detail in text

@@ -2,6 +2,7 @@
 combinatorial enumeration, witness derivations, derivation shape
 properties, and agreement with the operational oracle."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pmlang import grammar as gr
 from pmlang import semantics as sem
 from pmlang import square as sq
+from pmlang import verify
 
 
 def test_schema_counts_match_independent_enumeration():
@@ -228,3 +230,18 @@ def test_derivations_are_monotone_and_keep_pairs(w):
 def test_membership_matches_oracle_on_random_strings(symbols):
     w = tuple(symbols)
     assert (gr.derive_membership(w) is not None) == sem.is_consistent(w)
+
+
+def test_random_grammar_line_folds_the_subset_table(monkeypatch):
+    """Drop the accepting mark of the subset state after A.  The random
+    line, which folds the subset table, fails; the bounded and pair
+    lines, which step the NFA, still pass."""
+    nfa, dfa, minimal = verify._pipeline()
+    lost = dfa.delta[dfa.start][sq.signed("A", 1).index]
+    assert lost in dfa.accepting
+    broken = dataclasses.replace(dfa, accepting=dfa.accepting - {lost})
+    monkeypatch.setattr(verify, "_pipeline", lambda: (nfa, broken, minimal))
+    cfg = verify.VerifyConfig(exhaustive_len=2, random_strings=2000)
+    bounded, pairs, random_line = verify.suite_grammar(cfg).checks[:3]
+    assert bounded.passed and pairs.passed
+    assert not random_line.passed

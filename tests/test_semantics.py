@@ -3,6 +3,7 @@ determination states, and the closure properties of consistency."""
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -153,28 +154,66 @@ def test_equal_symbols_and_states_hash_equal():
         assert all(sem.step(twin, sym) is sem.step(state, sym) for sym in sq.ALPHABET)
 
 
-def test_rank_sampler_matches_a_lexicographic_listing():
-    """The spot checks' sampler rebuilds strings from their rank; it
-    must pick what one draw per kept string picks from a brute-force
-    listing in lexicographic order, a prefix before its extensions."""
-    listing = sorted(
-        (
-            w
-            for n in range(4)
-            for w in itertools.product(sq.ALPHABET, repeat=n)
-            if sem.is_consistent(w)
-        ),
-        key=lambda w: [s.index for s in w],
-    )
-    assert Counter(map(len, listing)) == {0: 1, 1: 18, 2: 306, 3: 4914}
-    for keep in (lambda s: True, lambda s: sem.determined_context(s) is not None):
-        kept = [w for w in listing if keep(sem.final_state(w))]
-        for seed in (1, 2, 3):
-            draws = random.Random(seed)
-            expected = [w for w in kept if draws.random() < 0.002]
-            rng = random.Random(seed)
-            assert list(verify._sample_strings(3, keep, rng)) == expected
-            assert expected and rng.random() == draws.random()
+def test_transition_cover_takes_each_live_edge_once():
+    """The spot checks' strings are a transition cover of the oracle:
+    one string per consistent edge q -s-> r, a shortest string to q
+    followed by s.  504 of the 684 end in a context-determining state."""
+    depth = {}
+    for k, layer in enumerate(sem.layers(sem.live, 0, 6)):
+        for q in layer:
+            depth.setdefault(q, k)
+    assert len(depth) == sem.CLASH
+    ids = {state: q for q, state in enumerate(sem.reachable_states())}
+    cover = verify._transition_cover()
+    edges = Counter()
+    for w in cover:
+        q = ids[sem.final_state(w[:-1])]
+        assert len(w) - 1 == depth[q]
+        edges[q, w[-1].index] += 1
+    live = {
+        (q, k)
+        for q, row in enumerate(sem.DELTA[: sem.CLASH])
+        for k, r in enumerate(row)
+        if r != sem.CLASH
+    }
+    assert len(cover) == 684
+    assert set(edges) == live and set(edges.values()) == {1}
+    determining = [w for w in cover if sem.determined_context(sem.final_state(w))]
+    assert len(determining) == 504
+
+
+def test_all_length_invariant_line_catches_a_repeat_that_clashes(monkeypatch):
+    """In a copy of the table, repeating A after A clashes.  The line over
+    every edge of the table fails, and so does the random repetition
+    line, while prefix closure still holds."""
+    a = sq.signed("A", 1).index
+    delta = [list(row) for row in sem.DELTA]
+    delta[delta[0][a]][a] = sem.CLASH
+    monkeypatch.setattr(sem, "DELTA", tuple(map(tuple, delta)))
+    cfg = verify.VerifyConfig(invariant_len=2, random_strings=2000)
+    prefix, repeat, table = verify.suite_invariants(cfg).checks[-3:]
+    assert prefix.passed and not repeat.passed
+    assert not table.passed
+    assert table.detail == "683 edges, 9 violations"
+
+
+def test_random_folds_work_in_fixed_blocks():
+    """The random folds hold one block of strings at a time, so their
+    memory does not grow with the number or the length of the strings;
+    one draw of 50,000 x 12 symbols alone would take 4.8 MB."""
+    into_clash = [[r == sem.CLASH for r in row] for row in sem.DELTA]
+    # load numpy before tracing, so that only the folds are measured
+    one = verify.VerifyConfig(random_strings=1)
+    verify._random_folds(one, 1, sem.DELTA, into_clash)
+    for strings, max_len in [(50_000, 12), (5_000, 120)]:
+        cfg = verify.VerifyConfig(random_strings=strings, random_max_len=max_len)
+        tracemalloc.start()
+        try:
+            verify._random_folds(cfg, 1, sem.DELTA, into_clash)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (strings, max_len, peak)
 
 
 def test_exhaustive_walk_depth_three():
