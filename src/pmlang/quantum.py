@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -150,8 +150,12 @@ def operator_law_failures(table: dict[Observable, PauliObservable]) -> list[str]
 def haar_vector(rng: np.random.Generator) -> np.ndarray:
     """A Haar-distributed unit vector from normalized complex Gaussians."""
     while True:
-        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        norm = np.linalg.norm(vec)
+        z = rng.normal(size=8)
+        vec = z[:4] + 1j * z[4:]
+        # np.linalg.norm's own formula for a complex vector, without its
+        # dispatch
+        re, im = vec.real, vec.imag
+        norm = np.sqrt(re.dot(re) + im.dot(im))
         if norm > 1e-6:
             return vec / norm
 
@@ -185,95 +189,132 @@ def measure(
     return value, QState(branch / norm)
 
 
-# A run to measure: its start vector, then its steps as (observable
-# index, uniform) pairs.
-Run = tuple[np.ndarray, Iterable[tuple[int, float]]]
-
-
-def block_runs(length: int) -> int:
-    """Runs per block of :func:`measure_runs`: BLOCK_STEPS measurements'
-    worth, and at least MIN_BLOCK_RUNS, so that each numpy step of a long
-    run also advances other runs."""
-    return max(MIN_BLOCK_RUNS, BLOCK_STEPS // max(length, 1))
-
-
 def measure_runs(
-    runs: Iterable[Run], length: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Measure runs of ``length`` steps each, a block at a time.
+    psi: np.ndarray, ks: np.ndarray, us: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure a block of runs: run i starts in state ``psi[i]`` and at
+    step t measures observable ``ks[i, t]``, with outcome +1 exactly when
+    ``us[i, t]`` is below the +1 probability, snapped to 0 or 1 within
+    TOLERANCE as in :func:`measure`.
 
-    Yields, per block, the observable indices and the outcomes (True for
-    +1) as (runs in block, length) arrays.  Step t measures observable
-    ``k`` with outcome +1 exactly when its uniform is below the +1
-    probability, snapped to 0 or 1 within TOLERANCE as in :func:`measure`.
-
-    Steps are taken from each run of a block about BLOCK_STEPS // block
-    at a time, so the draws held at once stay bounded for any length.
-    Runs whose steps come lazily from one shared generator would be
-    drawn out of order; draw those before passing them in.
+    Returns the outcomes (True for +1) as a (runs, steps) array, and the
+    states after the last step, from which a next chunk of the same runs
+    goes on.
     """
     table = standard_square()
     perms = np.array([table[o].perm for o in OBSERVABLES])
     phases = np.array([table[o].phase for o in OBSERVABLES])
-    runs = iter(runs)
-    while block := list(islice(runs, block_runs(length))):
-        starts, steps = zip(*block)
-        steps = [iter(s) for s in steps]
-        psi = np.array(starts)
-        offsets = 4 * np.arange(len(block))[:, None]
-        ks = np.empty((length, len(block)), dtype=np.uint8)
-        plus = np.empty((length, len(block)), dtype=bool)
-        chunk = max(1, BLOCK_STEPS // len(block))
-        for t0 in range(0, length, chunk):
-            drawn = np.array([list(islice(s, chunk)) for s in steps])
-            k = ks[t0:t0 + drawn.shape[1]]
-            k[...] = drawn[:, :, 0].T
-            us = np.ascontiguousarray(drawn[:, :, 1].T)
-            # per step and run: where in the flattened psi op·psi reads
-            # each amplitude, and the phase it multiplies it by
-            gather = perms[k] + offsets
-            phase = phases[k]
-            for t, u in enumerate(us):
-                flipped = phase[t] * psi.take(gather[t])
-                # twice each branch; halving would not change the
-                # normalised state
-                twice_plus = psi + flipped
-                prob_plus = (psi.conj() * twice_plus).real.sum(axis=1) / 2
-                prob_plus[prob_plus < TOLERANCE] = 0.0
-                prob_plus[prob_plus > 1.0 - TOLERANCE] = 1.0
-                plus[t0 + t] = hit = u < prob_plus
-                branch = np.where(hit[:, None], twice_plus, psi - flipped)
-                norm = np.sqrt((branch.conj() * branch).real.sum(axis=1))
-                if norm.min() < 2 * TOLERANCE:
-                    raise AssertionError("projected onto a zero-probability branch")
-                psi = branch / norm[:, None]
-        yield ks.T, plus.T
+    # per step and run: where in the flattened psi op·psi reads each
+    # amplitude, and the phase it multiplies it by
+    gather = perms[ks.T] + 4 * np.arange(len(psi))[:, None]
+    phase = phases[ks.T]
+    plus = np.empty(ks.shape[::-1], dtype=bool)
+    for t, u in enumerate(us.T):
+        flipped = phase[t] * psi.take(gather[t])
+        # twice each branch; halving would not change the normalised state
+        twice_plus = psi + flipped
+        prob_plus = (psi.conj() * twice_plus).real.sum(axis=1) / 2
+        prob_plus[prob_plus < TOLERANCE] = 0.0
+        prob_plus[prob_plus > 1.0 - TOLERANCE] = 1.0
+        plus[t] = hit = u < prob_plus
+        branch = np.where(hit[:, None], twice_plus, psi - flipped)
+        norm = np.sqrt((branch.conj() * branch).real.sum(axis=1))
+        if norm.min() < 2 * TOLERANCE:
+            raise AssertionError("projected onto a zero-probability branch")
+        psi = branch / norm[:, None]
+    return plus.T, psi
 
 
-def _draw_run(rng: np.random.Generator, length: int) -> Run:
-    """A start state, drawn now, then per step a uniform observable and a
-    uniform number, drawn as the steps are taken, in the order the
-    sampler has always drawn them."""
-    start = haar_vector(rng)
-    integers, uniform, count = rng.integers, rng.random, len(OBSERVABLES)
-    return start, ((integers(count), uniform()) for _ in range(length))
+# Generator.integers(9) takes a 32-bit half of a PCG64 word, x, and
+# returns (9x) >> 32, unless (9x) mod 2**32 falls below this threshold,
+# when it draws another half instead (Lemire's method).
+_REJECT_BELOW = (2**32 - len(OBSERVABLES)) % len(OBSERVABLES)
 
 
-def _symbols(
-    runs: Iterable[Run], length: int
+def _decode(words: np.ndarray, steps: int):
+    """The observables and uniforms that ``steps`` pairs of scalar calls
+    ``rng.integers(9)``, ``rng.random()`` would draw from the raw PCG64
+    words ``rng.bit_generator.random_raw(3 * ceil(steps / 2))``, one row
+    per run, and per run whether some ``integers`` call would have
+    rejected its draw, so that the row is not what it would draw.
+
+    Steps 2j and 2j + 1 take their observables from the low and the high
+    half of word 3j, which the generator keeps between the two calls,
+    and their uniforms from words 3j + 1 and 3j + 2, by ``random()``'s
+    (w >> 11) * 2**-53.
+    """
+    runs = len(words)
+    triples = words.reshape(runs, -1, 3)
+    ints = triples[:, :, 0]
+    halves = np.stack([ints & 0xFFFFFFFF, ints >> 32], axis=2).reshape(runs, -1)
+    scaled = halves[:, :steps] * len(OBSERVABLES)
+    rejected = ((scaled & 0xFFFFFFFF) < _REJECT_BELOW).any(axis=1)
+    uniforms = (triples[:, :, 1:].reshape(runs, -1)[:, :steps] >> 11) * 2.0**-53
+    return (scaled >> 32).astype(np.uint8), uniforms, rejected
+
+
+def _scalar_steps(rng: np.random.Generator, steps: int) -> np.ndarray:
+    """``steps`` (observable, uniform) rows drawn by the scalar calls."""
+    count = len(OBSERVABLES)
+    return np.array(
+        [(rng.integers(count), rng.random()) for _ in range(steps)]
+    ).reshape(steps, 2)
+
+
+def block_runs(length: int) -> int:
+    """Runs per block of the sampler: BLOCK_STEPS measurements' worth,
+    and at least MIN_BLOCK_RUNS, so that each numpy step of a long run
+    also advances other runs."""
+    return max(MIN_BLOCK_RUNS, BLOCK_STEPS // max(length, 1))
+
+
+def _sample_block(
+    seeds: list, length: int
 ) -> Iterator[tuple[SignedSymbol, ...]]:
-    for ks, plus in measure_runs(runs, length):
-        # ALPHABET lists each observable's +1 symbol before its -1 symbol
-        for codes in (2 * ks + ~plus).tolist():
-            yield tuple(map(ALPHABET.__getitem__, codes))
+    """Runs of ``length`` steps, one per seed: from a generator on the
+    seed, a Haar start state, then per step a uniform observable and a
+    uniform number, drawn as ``rng.integers(9)`` and ``rng.random()``
+    would draw them.
+
+    The steps go in chunks of about BLOCK_STEPS // len(seeds), an even
+    number so that no kept half word crosses a chunk, and each chunk
+    takes one ``random_raw`` call per run; so the draws held at once stay
+    bounded for any length.  A run whose draw Lemire's method would
+    reject is drawn again by the scalar calls, from a fresh generator.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    psi = np.array([haar_vector(rng) for rng in rngs])
+    ks = np.empty((len(rngs), length), dtype=np.uint8)
+    plus = np.empty((len(rngs), length), dtype=bool)
+    chunk = max(2, BLOCK_STEPS // len(rngs) & ~1)
+    scalar = {}  # run -> generator that redraws it by scalar calls
+    for t0 in range(0, length, chunk):
+        steps = min(chunk, length - t0)
+        words = np.array(
+            [rng.bit_generator.random_raw(3 * -(-steps // 2)) for rng in rngs]
+        )
+        k, us, rejected = _decode(words, steps)
+        for i in np.flatnonzero(rejected).tolist():
+            if i not in scalar:
+                scalar[i] = rng = np.random.default_rng(seeds[i])
+                haar_vector(rng)
+                for _ in range(0, t0, chunk):
+                    _scalar_steps(rng, chunk)
+        # the bulk draws of such a run go on, unused
+        for i, rng in scalar.items():
+            k[i], us[i] = _scalar_steps(rng, steps).T
+        ks[:, t0:t0 + steps] = k
+        plus[:, t0:t0 + steps], psi = measure_runs(psi, k, us)
+    # ALPHABET lists each observable's +1 symbol before its -1 symbol
+    for codes in (2 * ks + ~plus).tolist():
+        yield tuple(map(ALPHABET.__getitem__, codes))
 
 
 def sample_run(length: int, seed: int) -> tuple[SignedSymbol, ...]:
     """One reproducible measurement sequence from a fresh random state."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    rng = np.random.default_rng(seed)
-    return next(_symbols([_draw_run(rng, length)], length))
+    return next(_sample_block([seed], length))
 
 
 def sample_many(
@@ -282,8 +323,6 @@ def sample_many(
     """Independent reproducible runs via spawned per-run rng streams,
     measured a block at a time."""
     root = np.random.SeedSequence(seed)
-    draws = (
-        _draw_run(np.random.default_rng(root.spawn(1)[0]), length)
-        for _ in range(runs)
-    )
-    yield from _symbols(draws, length)
+    block = block_runs(length)
+    for done in range(0, runs, block):
+        yield from _sample_block(root.spawn(min(block, runs - done)), length)

@@ -111,7 +111,9 @@ def _sweep(
     return totals
 
 
+# strings per block of the random folds, and symbol columns per draw
 _FOLD_BLOCK = 4096
+_FOLD_COLUMNS = 8
 
 
 def _random_folds(cfg: VerifyConfig, seed: int, delta, *checks) -> list[int]:
@@ -119,25 +121,34 @@ def _random_folds(cfg: VerifyConfig, seed: int, delta, *checks) -> list[int]:
     uniform random length 0..``cfg.random_max_len``, through the integer
     table ``delta`` from state 0, and count for each check (a 0/1 table
     of the same shape) the strings that take an edge it flags.  The
-    strings go _FOLD_BLOCK at a time, one symbol column per step, so
-    memory does not grow with their number or length."""
+    strings go _FOLD_BLOCK at a time, _FOLD_COLUMNS symbol columns per
+    draw, so memory does not grow with their number or length."""
     import numpy as np  # only the random folds and the quantum suite need numpy
 
-    table = np.array(delta)
-    flags = np.array(checks, dtype=bool)
+    # a last "stay" column, unflagged, pads each string past its length;
+    # a state is kept as the offset of its row in the flattened tables
+    stay = len(ALPHABET)
+    table = (stay + 1) * np.array([[*row, q] for q, row in enumerate(delta)]).ravel()
+    bits = sum(np.array(check, dtype=int) << i for i, check in enumerate(checks))
+    bits = np.pad(np.reshape(bits, (len(delta), stay)), ((0, 0), (0, 1))).ravel()
     rng = np.random.default_rng(seed)
-    counts = np.zeros(len(checks), dtype=int)
+    counts = [0] * len(checks)
     for done in range(0, cfg.random_strings, _FOLD_BLOCK):
         size = min(_FOLD_BLOCK, cfg.random_strings - done)
         lengths = rng.integers(0, cfg.random_max_len, size, endpoint=True)
         q = np.zeros(size, dtype=int)
-        hit = np.zeros((len(checks), size), dtype=bool)
-        for t in range(cfg.random_max_len):
-            s = rng.integers(0, len(ALPHABET), size)
-            hit |= flags[:, q, s] & (t < lengths)
-            q = np.where(t < lengths, table[q, s], q)
-        counts += hit.sum(axis=1)
-    return counts.tolist()
+        hit = np.zeros(size, dtype=int)
+        for t0 in range(0, cfg.random_max_len, _FOLD_COLUMNS):
+            width = min(_FOLD_COLUMNS, cfg.random_max_len - t0)
+            columns = rng.integers(0, stay, (width, size))
+            columns[np.arange(t0, t0 + width)[:, None] >= lengths] = stay
+            for s in columns:
+                s += q
+                hit |= bits.take(s)
+                table.take(s, out=q)
+        for i in range(len(checks)):
+            counts[i] += int(np.count_nonzero(hit & (1 << i)))
+    return counts
 
 
 # ---------------------------------------------------------------- parity
@@ -681,24 +692,30 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
         f"{determined_checked} determined predictions, {determined_wrong} wrong",
     )
 
-    # Each trial draws a fresh state and then measures one observable;
-    # no draw depends on a state, so the trials are measured in blocks.
+    def measured(rng, ks, runs):
+        """Per block of runs: the outcomes of measuring the observables
+        ``ks`` in turn on fresh Haar states, each state drawn before its
+        run's uniforms.  No draw depends on a state, so the runs are
+        measured a block at a time."""
+        for done in range(0, runs, quantum.BLOCK_STEPS):
+            size = min(quantum.BLOCK_STEPS, runs - done)
+            drawn = [
+                (quantum.haar_vector(rng), rng.random(len(ks))) for _ in range(size)
+            ]
+            starts, us = map(np.array, zip(*drawn))
+            yield quantum.measure_runs(starts, np.tile(ks, (size, 1)), us)[0]
+
+    # each trial draws a fresh state and then measures one observable
     seqs = np.random.SeedSequence(cfg.seed + 4).spawn(len(OBSERVABLES))
-
-    def first_measurements():
-        for obs, seq in zip(OBSERVABLES, seqs):
-            rng = np.random.default_rng(seq)
-            for _ in range(cfg.quantum_trials):
-                start = quantum.haar_vector(rng)
-                yield start, [(obs.index, rng.random())]
-
-    plus = np.zeros(len(OBSERVABLES), dtype=int)
-    for ks, outcomes in quantum.measure_runs(first_measurements(), 1):
-        plus += np.bincount(ks[outcomes], minlength=len(OBSERVABLES))
     freq_ok = True
     details = []
-    for obs in OBSERVABLES:
-        freq = plus[obs.index] / cfg.quantum_trials
+    for obs, seq in zip(OBSERVABLES, seqs):
+        rng = np.random.default_rng(seq)
+        plus = sum(
+            int(outcomes.sum())
+            for outcomes in measured(rng, [obs.index], cfg.quantum_trials)
+        )
+        freq = plus / cfg.quantum_trials
         if not (0.4 <= freq <= 0.6):
             freq_ok = False
             details.append(f"{obs.name}: {freq:.3f}")
@@ -710,21 +727,11 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     )
 
     rng = np.random.default_rng(cfg.seed + 5)
-    per_context = 200
-
-    def context_runs():
-        for ctx in CONTEXTS:
-            ks = [obs.index for obs in ctx.members]
-            for _ in range(per_context):
-                start = quantum.haar_vector(rng)
-                yield start, [(k, rng.random()) for k in ks]
-
-    products = np.concatenate([
-        np.where(outcomes, 1, -1).prod(axis=1)
-        for _, outcomes in quantum.measure_runs(context_runs(), 3)
-    ])
-    signs = np.repeat([ctx.sign for ctx in CONTEXTS], per_context)
-    law_ok = bool((products == signs).all())
+    law_ok = True
+    for ctx in CONTEXTS:
+        for outcomes in measured(rng, [obs.index for obs in ctx.members], 200):
+            products = np.where(outcomes, 1, -1).prod(axis=1)
+            law_ok &= bool((products == ctx.sign).all())
     result.add(
         "measuring a full context in sequence multiplies to the context sign",
         law_ok,

@@ -370,6 +370,31 @@ def test_sample_output_is_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["verify", "--suite", "quantum", "--seed", "20240817"],
+            "8ad2baa32515cc753925fe845f970cdfbfdfbd71cd215e9ab9b070106bce9758",
+        ),
+        (
+            # three runs in a block: chunks of 1024 // 3 steps, an odd number
+            ["sample", "--length", "1000", "--runs", "3", "--seed", "7"],
+            "bb342b0bb6986c34526fec2691670c7ba2d54b25f459873a0379f7d856ca5608",
+        ),
+        (
+            ["sample", "--length", "20000", "--runs", "1", "--seed", "7"],
+            "44fb8e27266bb4529ae71b26db80576f4801a78ba6afe2483a2d778ed6617ff8",
+        ),
+    ],
+)
+def test_seeded_quantum_output_is_pinned(argv, digest):
+    """The quantum suite at the default depths, and long sampled runs."""
+    code, text = invoke(argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @given(st.integers(-3, 40), st.integers(-3, 40), st.integers(-3, 40))
 @settings(max_examples=60, deadline=None)
 def test_sample_arguments_give_runs_or_one_refusal_line(length, runs, seed):

@@ -187,12 +187,11 @@ def test_batched_repeat_is_determined_at_extreme_uniforms():
     """A repeated measurement has probability 0 or 1 up to rounding; the
     snap must make the outcome repeat even for uniforms 0 and 1 - 2**-53."""
     rng = np.random.default_rng(8)
-    runs = [
-        (qu.haar_vector(rng), [(k, rng.random()), (k, 0.0), (k, 1.0 - 2.0**-53)])
-        for k in rng.integers(9, size=200)
-    ]
-    for _, outcomes in qu.measure_runs(runs, 3):
-        assert (outcomes[:, 1:] == outcomes[:, :1]).all()
+    ks = np.repeat(rng.integers(9, size=(200, 1)), 3, axis=1)
+    starts = np.array([qu.haar_vector(rng) for _ in ks])
+    us = np.array([(rng.random(), 0.0, 1.0 - 2.0**-53) for _ in ks])
+    outcomes, _ = qu.measure_runs(starts, ks, us)
+    assert (outcomes[:, 1:] == outcomes[:, :1]).all()
 
 
 def _chained_measure(rng, length):
@@ -221,6 +220,89 @@ def test_batched_sampler_equals_chained_measure(length):
     assert qu.sample_run(length, 99) == _chained_measure(
         np.random.default_rng(99), length
     )
+
+
+def test_haar_vector_keeps_the_two_call_stream():
+    """One size-8 normal draw and the inlined norm give, bit for bit, the
+    vector and the generator state of two size-4 draws and linalg.norm."""
+    for seed in range(500):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        vec = theirs.normal(size=4) + 1j * theirs.normal(size=4)
+        expected = vec / np.linalg.norm(vec)
+        assert qu.haar_vector(ours).tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _scalar_draws(rng, length):
+    return [(rng.integers(9), rng.random()) for _ in range(length)]
+
+
+def test_decoded_words_equal_the_scalar_draws():
+    """The raw words of a generator decode to what its scalar calls draw,
+    at every length, odd ones included."""
+    for seed in range(60):
+        for length in range(41):
+            rng = np.random.default_rng([seed, length])
+            words = rng.bit_generator.random_raw(3 * -(-length // 2))
+            ks, us, rejected = qu._decode(words[None], length)
+            expected = _scalar_draws(np.random.default_rng([seed, length]), length)
+            assert list(zip(ks[0].tolist(), us[0].tolist())) == expected
+            assert not rejected[0]
+
+
+def test_decoder_flags_each_half_that_lemire_rejects():
+    """(9x) mod 2**32 below 4 is a rejected draw in either half of the
+    observable word; 4 itself is kept.  Uniform words are never flagged."""
+    rejected_halves = [0, 954437177]  # 9x = 0 and 2 * 2**32 + 1
+    kept_half = 3817748708  # 9x = 8 * 2**32 + 4
+    assert kept_half * 9 % 2**32 == 4
+    for half in rejected_halves:
+        assert half * 9 % 2**32 < 4
+    ones = 2**32 - 1
+    rows = [[half, 0, 0] for half in rejected_halves]
+    rows += [[half << 32 | ones, 0, 0] for half in rejected_halves]
+    rows += [[kept_half << 32 | kept_half, 0, 0], [ones << 32 | ones, 0, 0]]
+    _, _, rejected = qu._decode(np.array(rows, dtype=np.uint64), 2)
+    assert rejected.tolist() == [True] * 4 + [False] * 2
+    # the high half, here 0, of an odd run's last word is not a step of it
+    _, _, rejected = qu._decode(np.array([[ones, 0, 0]], dtype=np.uint64), 1)
+    assert not rejected[0]
+
+
+def test_long_runs_in_odd_blocks_equal_chained_measure():
+    """3 runs of 1000 steps take chunks of 1024 // 3 = 341 steps, cut down
+    to 340 so that no kept half word crosses a chunk."""
+    seqs = np.random.SeedSequence(7).spawn(3)
+    reference = [_chained_measure(np.random.default_rng(seq), 1000) for seq in seqs]
+    assert list(qu.sample_many(3, 1000, 7)) == reference
+
+
+def test_rejected_runs_are_redrawn_by_scalar_calls(monkeypatch):
+    """With every draw flagged, each run is redrawn by the scalar calls
+    from its first chunk; with one run flagged in its second chunk only,
+    it skips the steps already measured.  Both equal chained measure."""
+    monkeypatch.setattr(qu, "_REJECT_BELOW", 2**32)
+    for length, runs in [(1, 3), (12, 90), (1000, 3)]:
+        seqs = np.random.SeedSequence(length).spawn(runs)
+        reference = [
+            _chained_measure(np.random.default_rng(seq), length) for seq in seqs
+        ]
+        assert list(qu.sample_many(runs, length, length)) == reference
+    monkeypatch.undo()
+
+    decode, calls = qu._decode, []
+
+    def flag_run_one_in_chunk_two(words, steps):
+        ks, us, rejected = decode(words, steps)
+        calls.append(steps)
+        rejected[1] = len(calls) == 2
+        return ks, us, rejected
+
+    monkeypatch.setattr(qu, "_decode", flag_run_one_in_chunk_two)
+    seqs = np.random.SeedSequence(11).spawn(3)
+    reference = [_chained_measure(np.random.default_rng(seq), 1000) for seq in seqs]
+    assert list(qu.sample_many(3, 1000, 11)) == reference
+    assert calls == [340, 340, 320]
 
 
 def test_qstate_rejects_unnormalized_vectors():

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,6 +215,34 @@ def test_random_folds_work_in_fixed_blocks():
         finally:
             tracemalloc.stop()
         assert peak < 2**20, (strings, max_len, peak)
+
+
+def test_random_folds_equal_a_symbol_by_symbol_fold():
+    """The bulk folds draw the same strings as one length per string and
+    then one symbol column per step, and count the same flagged strings."""
+    delta = sem.DELTA
+    sevens = [
+        [(q + s + r) % 7 == 0 for s, r in enumerate(row)] for q, row in enumerate(delta)
+    ]
+    checks = [[[r == sem.CLASH for r in row] for row in delta], sevens]
+    symbols = len(sq.ALPHABET)
+    for strings, max_len, seed in [(5000, 30, 1), (4097, 9, 2), (3, 17, 3), (7, 0, 4)]:
+        rng = np.random.default_rng(seed)
+        expected = [0, 0]
+        for done in range(0, strings, verify._FOLD_BLOCK):
+            size = min(verify._FOLD_BLOCK, strings - done)
+            lengths = rng.integers(0, max_len, size, endpoint=True).tolist()
+            columns = [rng.integers(0, symbols, size).tolist() for _ in range(max_len)]
+            for i, length in enumerate(lengths):
+                q, hit = 0, [False, False]
+                for t in range(length):
+                    s = columns[t][i]
+                    hit = [h or check[q][s] for h, check in zip(hit, checks)]
+                    q = delta[q][s]
+                expected = [e + h for e, h in zip(expected, hit)]
+        cfg = verify.VerifyConfig(random_strings=strings, random_max_len=max_len)
+        assert verify._random_folds(cfg, seed, delta, *checks) == expected
+        assert strings < 10 or 0 < expected[1] < strings
 
 
 def test_exhaustive_walk_depth_three():
