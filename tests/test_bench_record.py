@@ -36,8 +36,11 @@ def test_pairs_runs_and_summarises_each_metric(tmp_path, capsys):
         write_record(change, "count", seed, 0, after, "bbb")
     write_record(parent, "count", 9, 0, 5.0, "aaa")  # no partner: left out
     write_record(change, "count", 1, 1, 0.3, "bbb")
+    note = tmp_path / "long.json"
+    note.write_text('{"parent_s": 0.8, "change_s": 0.7}')
     out = tmp_path / "BENCH.json"
     argv = [str(parent), str(change), "--what", "w", "--method", "m", "-o", str(out)]
+    argv += ["--note", f"long_runs={note}"]
     assert bench_record.main(argv) == 0
     assert "count seed 9" in capsys.readouterr().err
     record = json.loads(out.read_text())
@@ -51,6 +54,7 @@ def test_pairs_runs_and_summarises_each_metric(tmp_path, capsys):
     assert wall["change_better_pairs"] == 2
     assert wall["within_bound"] is True
     assert count["setup_s"]["change_better_pairs"] == 0
+    assert record["notes"] == {"long_runs": {"parent_s": 0.8, "change_s": 0.7}}
     assert record["traced"] == [
         {"workload": "count", "seed": 1, "side": "change", "metrics": json.loads(
             (change / "count-seed1-trace1.json").read_text())["metrics"]}

@@ -2,7 +2,7 @@
 
     python3 tools/bench_record.py PARENT_OUT CHANGE_OUT \
         --what "one paragraph on the change" --method "how the runs were made" \
-        -o BENCH_name.json
+        [--note NAME=FILE ...] -o BENCH_name.json
 
 PARENT_OUT and CHANGE_OUT are the ``perfbench/out`` directories of two
 checkouts, one of the parent commit and one of the change, each holding
@@ -12,8 +12,9 @@ end-to-end metric declared in BENCHMARK.json, the file gives every run of
 both sides, their medians and quartiles (inclusive method), the number of
 pairs in which the change is better, and whether the change's median is
 within the declared bound of the parent's.  Traced runs (``trace1``) are
-listed with their per-layer metrics, one entry per seed and side.
-Standard library only.
+listed with their per-layer metrics, one entry per seed and side.  Each
+``--note NAME=FILE`` adds the JSON held in FILE under ``notes``, for
+measurements made outside perfbench.  Standard library only.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change_out", type=Path)
     parser.add_argument("--what", required=True, help="what the change does")
     parser.add_argument("--method", required=True, help="how the runs were made")
+    parser.add_argument(
+        "--note", action="append", default=[], metavar="NAME=FILE",
+        help="add the JSON in FILE to the record's notes under NAME",
+    )
     parser.add_argument("-o", "--output", type=Path, help="write here instead of stdout")
     args = parser.parse_args(argv)
 
@@ -119,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
         "end_to_end": end_to_end(parent, change, declared),
         "traced": traced(load_runs(args.parent_out, 1), load_runs(args.change_out, 1)),
     }
+    notes = dict(note.split("=", 1) for note in args.note)
+    if notes:
+        record["notes"] = {name: json.loads(Path(f).read_text()) for name, f in notes.items()}
     text = json.dumps(record, indent=1) + "\n"
     if args.output:
         args.output.write_text(text)
