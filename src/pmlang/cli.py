@@ -74,12 +74,10 @@ def _write_json(headers, rows, out, extra: dict | None) -> None:
 
 
 def cmd_validate(args, out) -> int:
-    symbols = parse_string(args.string)
-    result = semantics.trace(args.string)
+    result = semantics.trace(parse_string(args.string))
     rows = []
-    for i, sym in enumerate(symbols):
-        if result.failed_at is not None and i > result.failed_at:
-            break
+    # every step up to and including a clash, which records no state
+    for i, sym in enumerate(result.symbols[: len(result.states) + 1]):
         if result.failed_at == i:
             prior = result.states[i - 1] if i else semantics.EMPTY_STATE
             determined = prior.value_of(sym.obs)
@@ -154,7 +152,7 @@ def _semantic_labels(dfa: automata.Dfa) -> dict[int, str]:
 
 
 def cmd_dfa(args, out) -> int:
-    _, raw, minimal = verify._pipeline()
+    raw, minimal = verify._pipeline()
     dfa = raw if args.raw else minimal
     if args.emit == "dot":
         text = automata.to_dot(dfa, _semantic_labels(dfa))

@@ -82,14 +82,14 @@ class SuiteResult:
 
 
 @lru_cache(maxsize=None)
-def _pipeline() -> tuple[automata.Nfa, automata.Dfa, automata.Dfa]:
-    nfa = grammar.to_nfa()
-    dfa = automata.determinize(nfa)
-    return nfa, dfa, automata.minimize(dfa)
+def _pipeline() -> tuple[automata.Dfa, automata.Dfa]:
+    """The subset construction of the grammar's NFA, and its minimisation."""
+    dfa = automata.determinize(grammar.to_nfa())
+    return dfa, automata.minimize(dfa)
 
 
 def minimal_dfa() -> automata.Dfa:
-    return _pipeline()[2]
+    return _pipeline()[1]
 
 
 def _sweep(
@@ -109,6 +109,23 @@ def _sweep(
             for i, prop in enumerate(props, 1):
                 totals[i] += count * prop(node)
     return totals
+
+
+def _product(
+    dfa: automata.Dfa,
+) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+    """The (DFA state, oracle id) pairs reachable from ``(dfa.start, 0)``
+    on all 18 symbols, in ``semantics.reachable`` order, and for each
+    pair the positions of its successors in that order.  A string is
+    consistent exactly when its pair's oracle id is not the sink CLASH."""
+
+    def successors(node):
+        d, q = node
+        return zip(dfa.delta[d], semantics.DELTA[q])
+
+    pairs = semantics.reachable(successors, (dfa.start, 0))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    return pairs, [[index[p] for p in successors(pair)] for pair in pairs]
 
 
 # strings per block of the random folds, and symbol columns per draw
@@ -185,32 +202,21 @@ def suite_parity(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
     result = SuiteResult("grammar")
-    nfa = _pipeline()[0]
-    # hashing NFA states dominates a subset step; frozensets cache their hash
-    nfa_step = lru_cache(maxsize=None)(nfa.step)
-
-    # Product of the grammar's NFA subsets with the oracle's state ids
-    # (the sink CLASH once a string is inconsistent), over all 18 symbols.
-    def successors(node):
-        nset, q = node
-        return [
-            (nfa_step(nset, sym), r) for sym, r in zip(ALPHABET, semantics.DELTA[q])
-        ]
-
-    def mismatched(node) -> bool:
-        nset, q = node
-        return bool(nset & nfa.accepting) != (q != semantics.CLASH)
-
-    start = (frozenset([nfa.start]), 0)
-    strings, mismatches = _sweep(successors, start, cfg.exhaustive_len, mismatched)
+    # The subset table beside the oracle's; a pair is mismatched when
+    # one accepts and the other does not.
+    dfa = _pipeline()[0]
+    pairs, rows = _product(dfa)
+    mismatch = [(d in dfa.accepting) != (q != semantics.CLASH) for d, q in pairs]
+    strings, mismatches = _sweep(
+        rows.__getitem__, 0, cfg.exhaustive_len, mismatch.__getitem__
+    )
     result.add(
         f"derivability matches consistency on all strings up to length "
         f"{cfg.exhaustive_len}",
         mismatches == 0,
         f"{strings} strings, {mismatches} mismatches",
     )
-    pairs = semantics.reachable(successors, start)
-    bad_pairs = sum(map(mismatched, pairs))
+    bad_pairs = sum(mismatch)
     result.add(
         "derivability matches consistency on every reachable (NFA subset, "
         "oracle state) pair, so on strings of every length",
@@ -218,18 +224,7 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
         f"{len(pairs)} pairs, {bad_pairs} mismatches",
     )
 
-    # The subset table beside the oracle's, over their reachable pairs;
-    # a string counts once if a nonempty prefix ends at a mismatched pair.
-    dfa = _pipeline()[1]
-
-    def pair_successors(node):
-        d, q = node
-        return zip(dfa.delta[d], semantics.DELTA[q])
-
-    product = semantics.reachable(pair_successors, (dfa.start, 0))
-    index = {pair: i for i, pair in enumerate(product)}
-    rows = [[index[p] for p in pair_successors(pair)] for pair in product]
-    mismatch = [(d in dfa.accepting) != (q != semantics.CLASH) for d, q in product]
+    # a string counts once if a nonempty prefix ends at a mismatched pair
     flags = [[mismatch[r] for r in row] for row in rows]
     (bad,) = _random_folds(cfg, cfg.seed, rows, flags)
     result.add(
@@ -361,8 +356,7 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
     dfa = minimal_dfa()
 
     # brute force through the oracle's table only
-    upto = [_sweep(semantics.live, 0, n)[0] for n in range(5)]
-    brute = [b - a for a, b in zip([0, *upto], upto)]
+    brute = [sum(layer.values()) for layer in semantics.layers(semantics.live, 0, 4)]
     report = automata.count_words(dfa, cfg.count_max)
     result.add(
         "word counts at lengths 0..4 match brute-force enumeration",
@@ -550,42 +544,39 @@ def suite_adapter(cfg: VerifyConfig) -> SuiteResult:
         f"{len(recognizer.memory_states)} >= {math.isqrt(24 - 1) + 1}",
     )
 
-    # Nodes are (DFA state, oracle state id) after a consistent string;
-    # the recognizer's memory for both signed extensions is the DFA state.
-    def successors(node):
-        d, q = node
-        return [
-            (dfa.delta[d][sym.index], r)
-            for sym, r in zip(ALPHABET, semantics.DELTA[q])
-            if r != semantics.CLASH
-        ]
-
+    # The recognizer's memory for both signed extensions is the DFA
+    # state.  CLASH absorbs, so a consistent string walks only pairs
+    # off it.
+    pairs, rows = _product(dfa)
+    consistent = [q != semantics.CLASH for _, q in pairs]
+    live = [[r for r in row if consistent[r]] for row in rows]
     states = semantics.reachable_states()
-
-    def wrong_answers(node) -> int:
-        d, q = node
-        return sum(
+    wrong = [
+        sum(
             _answer(machine.m1, (d, d), obs) != maga.required_answer(states[q], obs)
             for obs in OBSERVABLES
         )
-
-    start = (dfa.start, 0)
-    nodes, wrong = _sweep(successors, start, cfg.exhaustive_len, wrong_answers)
+        if ok
+        else 0
+        for ok, (d, q) in zip(consistent, pairs)
+    ]
+    nodes, wrong_strings = _sweep(
+        live.__getitem__, 0, cfg.exhaustive_len, wrong.__getitem__
+    )
     result.add(
         f"adapter answers match the oracle on every consistent string up to "
         f"length {cfg.exhaustive_len}",
-        wrong == 0,
-        f"{nodes} strings x 9 observables, {wrong} wrong",
+        wrong_strings == 0,
+        f"{nodes} strings x 9 observables, {wrong_strings} wrong",
     )
 
-    pairs = semantics.reachable(successors, start)
-    bad = sum(map(wrong_answers, pairs))
+    bad = sum(wrong)
     spot_checked, spot_wrong = _spot_check(machine, lambda state: True)
     result.add(
         "adapter answers match the oracle on every reachable (DFA state, "
         "oracle state) pair, so on strings of every length",
         bad == 0 and spot_wrong == 0,
-        f"{len(pairs)} pairs x 9 observables, {bad} wrong; "
+        f"{sum(consistent)} pairs x 9 observables, {bad} wrong; "
         f"{spot_checked} full-interface spot checks",
     )
     return result

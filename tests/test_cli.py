@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmlang import automata, cli, quantum, verify
+from pmlang import automata, cli, maga, quantum, verify
 from pmlang import semantics as sem
 from pmlang.square import ALPHABET, parse_string
 
@@ -395,6 +395,27 @@ def test_seeded_quantum_output_is_pinned(argv, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        (
+            "grammar",
+            "f05dfb970cbbfbb96cf1a8593c41f103587245e921a8ccc9e73c25e5580d7c63",
+        ),
+        (
+            "adapter",
+            "34450790a94342d4e624d712d1a1be84a7e692dfde8398753e7fac95850c9969",
+        ),
+    ],
+)
+def test_seeded_automaton_suites_are_pinned(suite, digest):
+    """The suites that walk an automaton beside the oracle, at the
+    default depths."""
+    code, text = invoke(["verify", "--suite", suite, "--seed", "20240817"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @given(st.integers(-3, 40), st.integers(-3, 40), st.integers(-3, 40))
 @settings(max_examples=60, deadline=None)
 def test_sample_arguments_give_runs_or_one_refusal_line(length, runs, seed):
@@ -447,6 +468,40 @@ def test_verify_reports_a_broken_operator_table(words, detail, monkeypatch, caps
         f"context sign ({detail})\n"
         "[summary] 0/1 checks passed\n"
     )
+
+
+def test_verify_reports_a_bound_below_its_simplification(monkeypatch, capsys):
+    """A formula whose simplified bound passes the exact one gives a
+    FAIL line and exit 1, not an exception out of ``scaling_reports``."""
+    report = maga.ScalingReport
+
+    def broken(**fields):
+        return report(**{**fields, "simplified_bound": fields["lower_bound"] + 1})
+
+    monkeypatch.setattr(maga, "ScalingReport", broken)
+    code, text = invoke(["verify", "--suite", "bounds", "--seed", "1"])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert "FAIL exact bound dominates its simplification for 1..64 qubits\n" in text
+    assert "[summary] 4/5 checks passed" in text
+
+
+def test_verify_reports_a_broken_disagreement_table(monkeypatch, capsys):
+    """With no disagreement found, the table's line fails and so does
+    the merge line, whose collisions now have no witness."""
+    monkeypatch.setattr(maga, "first_disagreement", lambda u, v: None)
+    code, text = invoke("verify --suite maga --seed 1 --maga-len 1".split())
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert (
+        "FAIL every one of the 276 representative pairs disagrees somewhere "
+        "(0 witnesses, 276 missing)\n"
+    ) in text
+    assert (
+        "FAIL every 23-state merge of the reference machine is refuted with a "
+        "concrete witness (0/276 merges refuted)\n"
+    ) in text
+    assert "[summary] 4/6 checks passed" in text
 
 
 def test_verify_reports_an_inconsistent_sampled_run(monkeypatch):

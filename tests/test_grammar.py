@@ -9,6 +9,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmlang import automata as au
 from pmlang import grammar as gr
 from pmlang import semantics as sem
 from pmlang import square as sq
@@ -233,15 +234,30 @@ def test_membership_matches_oracle_on_random_strings(symbols):
 
 
 def test_random_grammar_line_folds_the_subset_table(monkeypatch):
-    """Drop the accepting mark of the subset state after A.  The random
-    line, which folds the subset table, fails; the bounded and pair
-    lines, which step the NFA, still pass."""
-    nfa, dfa, minimal = verify._pipeline()
+    """Drop the accepting mark of the subset state after A.  The
+    bounded, pair and random lines all read the product of the subset
+    table with the oracle's, so all three fail."""
+    dfa, minimal = verify._pipeline()
     lost = dfa.delta[dfa.start][sq.signed("A", 1).index]
     assert lost in dfa.accepting
     broken = dataclasses.replace(dfa, accepting=dfa.accepting - {lost})
-    monkeypatch.setattr(verify, "_pipeline", lambda: (nfa, broken, minimal))
+    monkeypatch.setattr(verify, "_pipeline", lambda: (broken, minimal))
     cfg = verify.VerifyConfig(exhaustive_len=2, random_strings=2000)
+    lines = verify.suite_grammar(cfg).checks[:3]
+    assert not any(line.passed for line in lines)
+
+
+def test_grammar_lines_catch_a_pruned_schema(monkeypatch):
+    """Without the pair-branch-prior rules the grammar derives fewer
+    strings than are consistent; its rebuilt pipeline fails every
+    derivability line."""
+    g = gr.build_grammar()
+    rules = tuple(r for r in g.rules if r.schema != "pair-branch-prior")
+    assert len(rules) < len(g.rules)
+    dfa = au.determinize(gr.to_nfa(dataclasses.replace(g, rules=rules)))
+    monkeypatch.setattr(verify, "_pipeline", lambda: (dfa, au.minimize(dfa)))
+    cfg = verify.VerifyConfig(exhaustive_len=3, random_strings=2000)
     bounded, pairs, random_line = verify.suite_grammar(cfg).checks[:3]
-    assert bounded.passed and pairs.passed
+    assert (bounded.passed, bounded.detail) == (False, "6175 strings, 576 mismatches")
+    assert (pairs.passed, pairs.detail) == (False, "188 pairs, 24 mismatches")
     assert not random_line.passed
