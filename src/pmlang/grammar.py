@@ -253,58 +253,33 @@ def derive_membership(
     """
     g = grammar or build_grammar()
     symbols = parse_string(w) if isinstance(w, str) else tuple(w)
-    if not symbols:
-        if not g.has_empty_rule:
-            return None
-        rule = next(r for r in g.rules if r.emitted is None and r.rhs is None)
-        return Derivation((DerivationStep(rule, (), None),))
-
-    # layer 0: generating symbols reachable before emitting anything
-    first: dict[GeneratingSymbol, Rule] = {}
-    for rule in g.epsilon_rules:
-        first.setdefault(rule.rhs, rule)
-    layers: list[dict[GeneratingSymbol, tuple[GeneratingSymbol | None, Rule]]] = [
-        {sym: (None, rule) for sym, rule in first.items()}
-    ]
-    for tok in symbols[:-1]:
-        cur = layers[-1]
-        nxt: dict[GeneratingSymbol, tuple[GeneratingSymbol | None, Rule]] = {}
-        for sym in cur:
+    # layers[i] maps each generating symbol reachable after i tokens, or
+    # None once the string is complete, to its predecessor and rule
+    layer: dict[GeneratingSymbol | None, tuple[GeneratingSymbol | None, Rule]] = {}
+    for rule in g.rules:
+        if rule.emitted is None:
+            layer.setdefault(rule.rhs, (None, rule))
+    layers = [layer]
+    for i, tok in enumerate(symbols, 1):
+        last = i == len(symbols)
+        layer = {}
+        for sym in layers[-1]:
             for rule in g.emit_index.get(sym, {}).get(tok, ()):
-                if rule.rhs is not None and rule.rhs not in nxt:
-                    nxt[rule.rhs] = (sym, rule)
-        if not nxt:
+                if (rule.rhs is None) == last:
+                    layer.setdefault(rule.rhs, (sym, rule))
+        if not layer:
             return None
-        layers.append(nxt)
-
-    last_tok = symbols[-1]
-    stop: tuple[GeneratingSymbol, Rule] | None = None
-    for sym in layers[-1]:
-        for rule in g.emit_index.get(sym, {}).get(last_tok, ()):
-            if rule.rhs is None:
-                stop = (sym, rule)
-                break
-        if stop:
-            break
-    if stop is None:
+        layers.append(layer)
+    if None not in layers[-1]:
         return None
 
-    # backtrack: one symbol per layer, then replay forward
-    chain: list[tuple[GeneratingSymbol | None, Rule]] = []
-    sym: GeneratingSymbol | None = stop[0]
-    for layer in reversed(layers):
-        prev, rule = layer[sym]
-        chain.append((prev, rule))
-        sym = prev
-    chain.reverse()
-
     steps: list[DerivationStep] = []
-    eps_rule = chain[0][1]
-    steps.append(DerivationStep(eps_rule, (), eps_rule.rhs))
-    for i, (_, rule) in enumerate(chain[1:], start=1):
-        steps.append(DerivationStep(rule, symbols[:i], rule.rhs))
-    steps.append(DerivationStep(stop[1], symbols, None))
-    return Derivation(tuple(steps))
+    sym = None
+    for i in range(len(symbols), -1, -1):
+        prev, rule = layers[i][sym]
+        steps.append(DerivationStep(rule, symbols[:i], sym))
+        sym = prev
+    return Derivation(tuple(reversed(steps)))
 
 
 ACCEPT = "ACCEPT"

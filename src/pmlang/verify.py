@@ -4,9 +4,11 @@ Each suite pits one implementation route against an independent one
 (grammar against the operational rules, counting against brute-force
 enumeration, predictor machines against the oracle, sampled quantum
 runs against the language) and reports one line per check.  The CLI
-``verify`` command and the acceptance tests both run these functions;
-depth limits and seeds live in :class:`VerifyConfig` so they can be
-tightened or loosened from the command line.
+``verify`` command and the acceptance tests both run these functions.
+The seed and the depths that the benchmark lowers (the exhaustive,
+invariant and maga depths, and the numbers of random strings and of
+sampled runs) live in :class:`VerifyConfig`, one command-line flag
+each; every other setting is a module constant at its acceptance value.
 """
 
 from __future__ import annotations
@@ -31,31 +33,32 @@ from .square import (
 # usage limit, far below lengths whose counts pass int-to-str's limit.
 MAX_DEPTH = 6
 
+# the longest random string, the counting DP's last length, the most
+# qubits in the bounds suite, and the length of each sampled run and the
+# number of fresh-state trials per observable in the quantum suite
+RANDOM_MAX_LEN = 12
+COUNT_MAX = 1000
+QUBITS_MAX = 64
+QUANTUM_RUN_LEN = 12
+QUANTUM_TRIALS = 1000
+
 
 @dataclass
 class VerifyConfig:
-    """Depth limits and seeds; the defaults are the acceptance settings."""
+    """The seed and the tunable depths; the defaults are the acceptance
+    settings."""
 
     seed: int = 20240817
     exhaustive_len: int = 4
     random_strings: int = 100_000
-    random_max_len: int = 12
     invariant_len: int = 5
     maga_len: int = 5
-    count_max: int = 1000
-    qubits_max: int = 64
     quantum_runs: int = 10_000
-    quantum_run_len: int = 12
-    quantum_trials: int = 1000
 
     def __post_init__(self):
-        # the bit-curve checks read lengths up to 200
-        floors = {"count_max": 200, "qubits_max": 1, "quantum_trials": 1}
         for name, value in vars(self).items():
-            if value < floors.get(name, 0):
-                raise ValueError(f"{name} must be at least {floors.get(name, 0)}")
-        if self.qubits_max > maga.MAX_QUBITS:
-            raise ValueError(f"qubits_max must be at most {maga.MAX_QUBITS}")
+            if value < 0:
+                raise ValueError(f"{name} must be at least 0")
         for name in ("exhaustive_len", "invariant_len", "maga_len"):
             if getattr(self, name) > MAX_DEPTH:
                 raise ValueError(f"{name} must be at most {MAX_DEPTH}")
@@ -128,18 +131,16 @@ def _product(
     return pairs, [[index[p] for p in successors(pair)] for pair in pairs]
 
 
-# strings per block of the random folds, and symbol columns per draw
+# strings per block of the random folds
 _FOLD_BLOCK = 4096
-_FOLD_COLUMNS = 8
 
 
 def _random_folds(cfg: VerifyConfig, seed: int, delta, *checks) -> list[int]:
     """Fold ``cfg.random_strings`` seeded random strings, each of a
-    uniform random length 0..``cfg.random_max_len``, through the integer
-    table ``delta`` from state 0, and count for each check (a 0/1 table
-    of the same shape) the strings that take an edge it flags.  The
-    strings go _FOLD_BLOCK at a time, _FOLD_COLUMNS symbol columns per
-    draw, so memory does not grow with their number or length."""
+    uniform random length 0..RANDOM_MAX_LEN, through the integer table
+    ``delta`` from state 0, and count for each check (a 0/1 table of the
+    same shape) the strings that take an edge it flags.  The strings go
+    _FOLD_BLOCK at a time, so memory does not grow with their number."""
     import numpy as np  # only the random folds and the quantum suite need numpy
 
     # a last "stay" column, unflagged, pads each string past its length;
@@ -152,17 +153,15 @@ def _random_folds(cfg: VerifyConfig, seed: int, delta, *checks) -> list[int]:
     counts = [0] * len(checks)
     for done in range(0, cfg.random_strings, _FOLD_BLOCK):
         size = min(_FOLD_BLOCK, cfg.random_strings - done)
-        lengths = rng.integers(0, cfg.random_max_len, size, endpoint=True)
+        lengths = rng.integers(0, RANDOM_MAX_LEN, size, endpoint=True)
+        columns = rng.integers(0, stay, (RANDOM_MAX_LEN, size))
+        columns[np.arange(RANDOM_MAX_LEN)[:, None] >= lengths] = stay
         q = np.zeros(size, dtype=int)
         hit = np.zeros(size, dtype=int)
-        for t0 in range(0, cfg.random_max_len, _FOLD_COLUMNS):
-            width = min(_FOLD_COLUMNS, cfg.random_max_len - t0)
-            columns = rng.integers(0, stay, (width, size))
-            columns[np.arange(t0, t0 + width)[:, None] >= lengths] = stay
-            for s in columns:
-                s += q
-                hit |= bits.take(s)
-                table.take(s, out=q)
+        for s in columns:
+            s += q
+            hit |= bits.take(s)
+            table.take(s, out=q)
         for i in range(len(checks)):
             counts[i] += int(np.count_nonzero(hit & (1 << i)))
     return counts
@@ -229,7 +228,7 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
     (bad,) = _random_folds(cfg, cfg.seed, rows, flags)
     result.add(
         f"derivability matches consistency on {cfg.random_strings} random "
-        f"strings up to length {cfg.random_max_len}",
+        f"strings up to length {RANDOM_MAX_LEN}",
         bad == 0,
         f"{bad} mismatches",
     )
@@ -357,26 +356,26 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
 
     # brute force through the oracle's table only
     brute = [sum(layer.values()) for layer in semantics.layers(semantics.live, 0, 4)]
-    report = automata.count_words(dfa, cfg.count_max)
+    report = automata.count_words(dfa, COUNT_MAX)
     result.add(
         "word counts at lengths 0..4 match brute-force enumeration",
         list(report.counts[:5]) == brute,
         f"dfa {list(report.counts[:5])} vs brute {brute}",
     )
 
-    dp = automata._dp_counts(dfa, cfg.count_max)
+    dp = automata._dp_counts(dfa, COUNT_MAX)
     mismatches = sum(a != b for a, b in zip(report.counts, dp))
     result.add(
         f"the recurrence derived by Berlekamp-Massey from {2 * dfa.num_states} "
-        f"DP terms reproduces the DP at every length 0..{cfg.count_max}",
+        f"DP terms reproduces the DP at every length 0..{COUNT_MAX}",
         report.counts == tuple(dp),
         f"recurrence {list(report.recurrence)}, {mismatches} mismatches",
     )
 
     tail = [float(r) for r in report.growth_ratios[-100:]]
-    spread = max(tail) - min(tail) if tail else float("inf")
+    spread = max(tail) - min(tail)
     result.add(
-        f"growth ratios converge at n_max={cfg.count_max}",
+        f"growth ratios converge at n_max={COUNT_MAX}",
         spread < 1e-6,
         f"last-100 spread {spread:.3e}, estimate {report.dominant_rate_estimate}",
     )
@@ -595,33 +594,22 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteResult:
         f"{got}",
     )
 
-    # Each report holds integers of about n^2/2 bits, so keep only the
-    # first report and what the checks read from the others.
-    dominates = above_floor = monotone = True
-    first = last_gap = None
-    for r in maga.scaling_reports(cfg.qubits_max):
-        dominates &= r.lower_bound >= r.simplified_bound
-        above_floor &= r.density >= r.density_floor and r.density > 1.0
-        if first is None:
-            first = r
-        else:
-            monotone &= last_gap >= r.density_gap - 1e-12
-        last_gap = r.density_gap
+    reports = list(maga.scaling_reports(QUBITS_MAX))
+    gaps = [r.density_gap for r in reports]
     result.add(
-        f"exact bound dominates its simplification for 1..{cfg.qubits_max} "
-        "qubits",
-        dominates,
+        f"exact bound dominates its simplification for 1..{QUBITS_MAX} qubits",
+        all(r.lower_bound >= r.simplified_bound for r in reports),
     )
     result.add(
         f"density stays above (n+3)/2 and above one bit per qubit for "
-        f"1..{cfg.qubits_max} qubits",
-        above_floor,
-        f"density(1) = {first.density:.4f}",
+        f"1..{QUBITS_MAX} qubits",
+        all(r.density >= r.density_floor and r.density > 1.0 for r in reports),
+        f"density(1) = {reports[0].density:.4f}",
     )
     result.add(
         "density gap to (n+3)/2 shrinks monotonically toward zero",
-        monotone and last_gap > 0,
-        f"gap(1) = {first.density_gap:.4f}, gap({cfg.qubits_max}) = {last_gap:.2e}",
+        all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:])) and gaps[-1] > 0,
+        f"gap(1) = {gaps[0]:.4f}, gap({QUBITS_MAX}) = {gaps[-1]:.2e}",
     )
     result.add(
         "direct square bound and 2-qubit scaled bound reported side by side",
@@ -659,9 +647,7 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     inconsistent = 0
     determined_checked = 0
     determined_wrong = 0
-    for run in quantum.sample_many(
-        cfg.quantum_runs, cfg.quantum_run_len, cfg.seed + 3
-    ):
+    for run in quantum.sample_many(cfg.quantum_runs, QUANTUM_RUN_LEN, cfg.seed + 3):
         traced = semantics.trace(run)
         inconsistent += not traced.consistent
         # the state before each step, up to and including a clash
@@ -672,7 +658,7 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
                 determined_checked += 1
                 determined_wrong += predicted != sym.value
     result.add(
-        f"{cfg.quantum_runs} sampled runs of length {cfg.quantum_run_len} "
+        f"{cfg.quantum_runs} sampled runs of length {QUANTUM_RUN_LEN} "
         "are all consistent",
         inconsistent == 0,
         f"{inconsistent} inconsistent runs",
@@ -684,17 +670,13 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     )
 
     def measured(rng, ks, runs):
-        """Per block of runs: the outcomes of measuring the observables
-        ``ks`` in turn on fresh Haar states, each state drawn before its
-        run's uniforms.  No draw depends on a state, so the runs are
-        measured a block at a time."""
-        for done in range(0, runs, quantum.BLOCK_STEPS):
-            size = min(quantum.BLOCK_STEPS, runs - done)
-            drawn = [
-                (quantum.haar_vector(rng), rng.random(len(ks))) for _ in range(size)
-            ]
-            starts, us = map(np.array, zip(*drawn))
-            yield quantum.measure_runs(starts, np.tile(ks, (size, 1)), us)[0]
+        """The outcomes of measuring the observables ``ks`` in turn on
+        ``runs`` fresh Haar states, each state drawn before its run's
+        uniforms.  No draw depends on a state, so the runs are measured
+        together."""
+        drawn = [(quantum.haar_vector(rng), rng.random(len(ks))) for _ in range(runs)]
+        starts, us = map(np.array, zip(*drawn))
+        return quantum.measure_runs(starts, np.tile(ks, (runs, 1)), us)[0]
 
     # each trial draws a fresh state and then measures one observable
     seqs = np.random.SeedSequence(cfg.seed + 4).spawn(len(OBSERVABLES))
@@ -702,17 +684,14 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     details = []
     for obs, seq in zip(OBSERVABLES, seqs):
         rng = np.random.default_rng(seq)
-        plus = sum(
-            int(outcomes.sum())
-            for outcomes in measured(rng, [obs.index], cfg.quantum_trials)
-        )
-        freq = plus / cfg.quantum_trials
+        plus = int(measured(rng, [obs.index], QUANTUM_TRIALS).sum())
+        freq = plus / QUANTUM_TRIALS
         if not (0.4 <= freq <= 0.6):
             freq_ok = False
             details.append(f"{obs.name}: {freq:.3f}")
     result.add(
         f"first-outcome frequencies lie in [0.4, 0.6] over "
-        f"{cfg.quantum_trials} fresh random states per observable",
+        f"{QUANTUM_TRIALS} fresh random states per observable",
         freq_ok,
         "; ".join(details) if details else "all within bounds",
     )
@@ -720,9 +699,9 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 5)
     law_ok = True
     for ctx in CONTEXTS:
-        for outcomes in measured(rng, [obs.index for obs in ctx.members], 200):
-            products = np.where(outcomes, 1, -1).prod(axis=1)
-            law_ok &= bool((products == ctx.sign).all())
+        outcomes = measured(rng, [obs.index for obs in ctx.members], 200)
+        products = np.where(outcomes, 1, -1).prod(axis=1)
+        law_ok &= bool((products == ctx.sign).all())
     result.add(
         "measuring a full context in sequence multiplies to the context sign",
         law_ok,

@@ -507,7 +507,7 @@ def test_verify_reports_a_broken_disagreement_table(monkeypatch, capsys):
 def test_verify_reports_an_inconsistent_sampled_run(monkeypatch):
     clash = parse_string("A ~A")  # the clash step is checked against A=+1
     monkeypatch.setattr(quantum, "sample_many", lambda runs, length, seed: [clash])
-    code, text = invoke("verify --suite quantum --seed 1 --quantum-trials 1".split())
+    code, text = invoke("verify --suite quantum --seed 1".split())
     assert code == 1
     assert "are all consistent (1 inconsistent runs)" in text
     assert "(1 determined predictions, 1 wrong)" in text
@@ -538,15 +538,14 @@ def test_verify_with_reduced_depths():
     )
     assert code == 0
     assert "FAIL" not in text
-    # no random strings, or only empty ones: nothing to fold
+    # no random strings: nothing to fold
     for suite in ("grammar", "invariants"):
-        for flag in ("--random-strings", "--random-max-len"):
-            code, text = invoke(
-                ["verify", "--suite", suite, "--seed", "3", "--exhaustive-len", "2"]
-                + ["--invariant-len", "2", flag, "0"]
-            )
-            assert code == 0
-            assert "FAIL" not in text and text.endswith(" checks passed\n")
+        code, text = invoke(
+            ["verify", "--suite", suite, "--seed", "3", "--exhaustive-len", "2"]
+            + ["--invariant-len", "2", "--random-strings", "0"]
+        )
+        assert code == 0
+        assert "FAIL" not in text and text.endswith(" checks passed\n")
 
     # every suite at the benchmark's depths; pins the whole report and
     # the counts it gives
@@ -578,11 +577,11 @@ def test_verify_with_reduced_depths():
         ["--suite", "grammar", "--exhaustive-len", "-1"],
         ["--suite", "invariants", "--invariant-len", "-1"],
         ["--suite", "maga", "--maga-len", "-1"],
-        ["--suite", "counting", "--count-max", "0"],
-        ["--suite", "counting", "--count-max", "150"],
-        ["--suite", "quantum", "--quantum-trials", "0"],
+        ["--suite", "grammar", "--random-strings", "-1"],
+        ["--suite", "bounds", "--invariant-len", "7"],
+        ["--suite", "quantum", "--quantum-runs", "-1"],
         ["--suite", "quantum", "--seed", "-5"],
-        ["--suite", "bounds", "--qubits-max", "3001"],
+        ["--suite", "all", "--exhaustive-len", "7", "--maga-len", "-1"],
         ["--suite", "grammar", "--exhaustive-len", "7"],
         ["--suite", "invariants", "--invariant-len", "7"],
         ["--suite", "maga", "--maga-len", "7"],
@@ -596,6 +595,26 @@ def test_verify_rejects_out_of_range_settings(argv, capsys):
     assert text == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--random-max-len",
+        "--count-max",
+        "--qubits-max",
+        "--quantum-run-len",
+        "--quantum-trials",
+    ],
+)
+def test_verify_rejects_removed_flags(flag, capsys):
+    """These five settings are module constants in ``verify``, not flags."""
+    with pytest.raises(SystemExit) as exit_:
+        invoke(["verify", "--suite", "bounds", "--seed", "1", flag, "5"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unrecognized arguments: {flag} 5\n"
 
 
 @pytest.mark.parametrize(

@@ -200,24 +200,23 @@ def test_all_length_invariant_line_catches_a_repeat_that_clashes(monkeypatch):
 
 def test_random_folds_work_in_fixed_blocks():
     """The random folds hold one block of strings at a time, so their
-    memory does not grow with the number or the length of the strings;
-    one draw of 50,000 x 12 symbols alone would take 4.8 MB."""
+    memory does not grow with the number of strings; one draw of
+    50,000 x 12 symbols alone would take 4.8 MB."""
     into_clash = [[r == sem.CLASH for r in row] for row in sem.DELTA]
     # load numpy before tracing, so that only the folds are measured
     one = verify.VerifyConfig(random_strings=1)
     verify._random_folds(one, 1, sem.DELTA, into_clash)
-    for strings, max_len in [(50_000, 12), (5_000, 120)]:
-        cfg = verify.VerifyConfig(random_strings=strings, random_max_len=max_len)
-        tracemalloc.start()
-        try:
-            verify._random_folds(cfg, 1, sem.DELTA, into_clash)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, (strings, max_len, peak)
+    cfg = verify.VerifyConfig(random_strings=50_000)
+    tracemalloc.start()
+    try:
+        verify._random_folds(cfg, 1, sem.DELTA, into_clash)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
-def test_random_folds_equal_a_symbol_by_symbol_fold():
+def test_random_folds_equal_a_symbol_by_symbol_fold(monkeypatch):
     """The bulk folds draw the same strings as one length per string and
     then one symbol column per step, and count the same flagged strings."""
     delta = sem.DELTA
@@ -240,7 +239,8 @@ def test_random_folds_equal_a_symbol_by_symbol_fold():
                     hit = [h or check[q][s] for h, check in zip(hit, checks)]
                     q = delta[q][s]
                 expected = [e + h for e, h in zip(expected, hit)]
-        cfg = verify.VerifyConfig(random_strings=strings, random_max_len=max_len)
+        monkeypatch.setattr(verify, "RANDOM_MAX_LEN", max_len)
+        cfg = verify.VerifyConfig(random_strings=strings)
         assert verify._random_folds(cfg, seed, delta, *checks) == expected
         assert strings < 10 or 0 < expected[1] < strings
 
