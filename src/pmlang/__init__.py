@@ -27,7 +27,6 @@ from .grammar import Grammar, Derivation, build_grammar, derive_membership, to_n
 from .automata import (
     CountReport,
     Dfa,
-    HvBitCurve,
     Nfa,
     count_words,
     determinize,

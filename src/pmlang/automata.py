@@ -1,6 +1,9 @@
 """Finite automata over the 18-symbol alphabet: determinization,
 minimization, exact word counting, and the hidden-variable bit curve.
 
+Every automaton reads ``square.ALPHABET``: symbol ``k`` is
+``ALPHABET[k]``, so no automaton stores an alphabet of its own.
+
 Counting is done with exact integers end to end; the only float in a
 report is the growth-rate estimate taken from the final count ratio.
 Their decimal digits come from the same recurrence run in exact decimal
@@ -28,7 +31,6 @@ class Nfa:
     """Nondeterministic automaton; states may be any hashable objects."""
 
     states: frozenset
-    alphabet: tuple[SignedSymbol, ...]
     transitions: frozenset  # of (state, SignedSymbol, state)
     start: Any
     accepting: frozenset
@@ -70,12 +72,11 @@ class Dfa:
     """Deterministic automaton with a total transition table.
 
     States are 0..n-1; ``delta[q][k]`` is the successor of state ``q``
-    on the symbol with alphabet index ``k``.  ``dead`` marks the
+    on ``ALPHABET[k]``.  ``dead`` marks the
     absorbing reject state when one exists; reported state counts
     usually exclude it.
     """
 
-    alphabet: tuple[SignedSymbol, ...]
     delta: tuple[tuple[int, ...], ...]
     start: int
     accepting: frozenset[int]
@@ -113,8 +114,6 @@ def determinize(nfa: Nfa) -> Dfa:
     by alphabet index), the same as subsets built by ``Nfa.step`` give,
     so the result is deterministic.
     """
-    if nfa.alphabet != ALPHABET:
-        raise ValueError("expected the canonical 18-symbol alphabet")
     index = {state: i for i, state in enumerate(nfa.states | {nfa.start})}
     masks = [[0] * len(ALPHABET) for _ in index]
     for src, sym, dst in nfa.transitions:
@@ -136,7 +135,7 @@ def determinize(nfa: Nfa) -> Dfa:
     delta = tuple(tuple(ids[succ] for succ in rows[subset]) for subset in order)
     final = sum(1 << index[s] for s in nfa.accepting if s in index)
     accepting = frozenset(i for i, subset in enumerate(order) if subset & final)
-    return Dfa(nfa.alphabet, delta, 0, accepting, ids.get(0))
+    return Dfa(delta, 0, accepting, ids.get(0))
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -174,7 +173,7 @@ def minimize(dfa: Dfa) -> Dfa:
         (i for i, row in enumerate(rows) if i not in accepting and set(row) == {i}),
         None,
     )
-    return Dfa(dfa.alphabet, rows, 0, accepting, dead)
+    return Dfa(rows, 0, accepting, dead)
 
 
 @dataclass(frozen=True)
@@ -303,22 +302,12 @@ def decimal_rows(report: CountReport) -> Iterator[tuple[str, str]]:
         yield str(term), str(total)
 
 
-@dataclass(frozen=True)
-class HvBitCurve:
+def hv_bits(report: CountReport) -> tuple[int, ...]:
     """Bits needed to label every word up to each length: ceil(log2) of
     the cumulative counts."""
-
-    bits: tuple[int, ...]
-
-    def first_differences(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.bits, self.bits[1:]))
-
-
-def hv_bits(report: CountReport) -> HvBitCurve:
-    bits = tuple(
+    return tuple(
         (total - 1).bit_length() if total >= 1 else 0 for total in report.cumulative
     )
-    return HvBitCurve(bits)
 
 
 def shortest_words(dfa: Dfa) -> dict[int, tuple[SignedSymbol, ...]]:
@@ -326,7 +315,7 @@ def shortest_words(dfa: Dfa) -> dict[int, tuple[SignedSymbol, ...]]:
     words: dict[int, tuple[SignedSymbol, ...]] = {dfa.start: ()}
 
     def successors(q: int) -> tuple[int, ...]:
-        for sym, succ in zip(dfa.alphabet, dfa.delta[q]):
+        for sym, succ in zip(ALPHABET, dfa.delta[q]):
             if succ not in words:
                 words[succ] = words[q] + (sym,)
         return dfa.delta[q]
@@ -335,17 +324,15 @@ def shortest_words(dfa: Dfa) -> dict[int, tuple[SignedSymbol, ...]]:
     return words
 
 
-def to_dot(dfa: Dfa, labels: Mapping[int, str] | None = None) -> str:
-    """Graphviz rendering; accepting states are double circles and
-    parallel edges are merged with token lists."""
+def to_dot(dfa: Dfa, labels: Mapping[int, str]) -> str:
+    """Graphviz rendering with ``labels[q]`` on each state ``q``;
+    accepting states are double circles and parallel edges are merged
+    with token lists."""
     name = lambda q: f"q{q}"
     lines = ["digraph dfa {", "  rankdir=LR;", "  __start [shape=point];"]
     for q in dfa.states:
-        attrs = []
         shape = "doublecircle" if q in dfa.accepting else "circle"
-        attrs.append(f'shape="{shape}"')
-        if labels and q in labels:
-            attrs.append(f'label="{labels[q]}"')
+        attrs = [f'shape="{shape}"', f'label="{labels[q]}"']
         if dfa.dead == q:
             attrs.append('style="dashed"')
         lines.append(f"  {name(q)} [{', '.join(attrs)}];")
@@ -353,7 +340,7 @@ def to_dot(dfa: Dfa, labels: Mapping[int, str] | None = None) -> str:
     grouped: dict[tuple[int, int], list[str]] = {}
     for q in dfa.states:
         for k, succ in enumerate(dfa.delta[q]):
-            grouped.setdefault((q, succ), []).append(dfa.alphabet[k].token)
+            grouped.setdefault((q, succ), []).append(ALPHABET[k].token)
     for (src, dst), tokens in sorted(grouped.items()):
         label = ",".join(tokens)
         lines.append(f'  {name(src)} -> {name(dst)} [label="{label}"];')

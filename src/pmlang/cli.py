@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 for success or acceptance, 1 for rejection or a failed
-verification, 2 for usage errors (including malformed tokens), 3 for
-an internal error, reported by ``main`` in one stderr line.  All
+verification, 2 for usage errors (including malformed tokens) and for
+output that cannot be written, 3 for an internal error; ``main``
+reports the last two in one stderr line.  All
 randomized commands require ``--seed`` and identical invocations with
 identical seeds produce byte-identical output.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -201,12 +203,11 @@ def cmd_count(args, out) -> int:
     largest = report.cumulative[-1]  # the largest value in any row
     if not _printable(largest, f"counts at --max-length {args.max_length}"):
         return 2
-    curve = automata.hv_bits(report)
     headers = ["n", "count", "cumulative", "bits"]
     rows = (  # digit strings in linear time per value
         [n, count, total, bits]
         for n, ((count, total), bits) in enumerate(
-            zip(automata.decimal_rows(report), curve.bits)
+            zip(automata.decimal_rows(report), automata.hv_bits(report))
         )
     )
     extra = {"dominant_rate_estimate": report.dominant_rate_estimate}
@@ -436,6 +437,13 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
 def main() -> None:
     try:
         code = run()
+        sys.stdout.flush()  # so a failed write raises here, not at exit
+    except OSError as err:  # a closed pipe or a full device
+        # as in the SIGPIPE note of the Python docs: the flush at exit
+        # goes to devnull instead of failing a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {err.strerror}", file=sys.stderr)
+        code = 2
     except Exception as err:  # SystemExit and KeyboardInterrupt pass through
         message = " ".join(str(err).split())
         print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)

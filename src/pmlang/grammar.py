@@ -130,25 +130,17 @@ SCHEMAS = (
 class Grammar:
     symbols: tuple[GeneratingSymbol, ...]
     rules: tuple[Rule, ...]
-    start: GeneratingSymbol
 
     def __post_init__(self):
         # emit_index[lhs][terminal] lists emitting rules in canonical order
         self.emit_index: dict[
             GeneratingSymbol, dict[SignedSymbol, list[Rule]]
         ] = {}
-        self.epsilon_rules: list[Rule] = []
-        self.has_empty_rule = False
         for rule in self.rules:
-            if rule.emitted is None:
-                if rule.rhs is None:
-                    self.has_empty_rule = True
-                else:
-                    self.epsilon_rules.append(rule)
-                continue
-            self.emit_index.setdefault(rule.lhs, {}).setdefault(
-                rule.emitted, []
-            ).append(rule)
+            if rule.emitted is not None:
+                self.emit_index.setdefault(rule.lhs, {}).setdefault(
+                    rule.emitted, []
+                ).append(rule)
 
     def dump_lines(self) -> list[str]:
         return [rule.render() for rule in self.rules]
@@ -213,7 +205,7 @@ def build_grammar() -> Grammar:
             for w in ALPHABET
             if _compatible_partner(x, w) and _foreign(y, w)
         ]
-    return Grammar(symbols, tuple(rules), START)
+    return Grammar(symbols, tuple(rules))
 
 
 @dataclass(frozen=True)
@@ -289,29 +281,29 @@ def to_nfa(grammar: Grammar | None = None) -> automata.Nfa:
     """The automaton whose states are the generating symbols plus one
     accept state; one transition per emitting rule.
 
-    The non-emitting start rules are folded away by copying the target
-    symbol's outgoing transitions onto the start state, which preserves
-    the language because those rules only ever leave the start symbol.
+    The non-emitting rules are folded away.  They all leave ``START``:
+    ``[S] -> [X]`` and the empty-word rule ``[S] -> lambda``.  So the
+    start state copies the outgoing transitions of every symbol ``[X]``
+    those rules lead to, and it is accepting exactly when one of them
+    is the empty-word rule.
     """
     g = grammar or build_grammar()
     transitions: set[tuple[object, SignedSymbol, object]] = set()
-    for rule in g.rules:
-        if rule.emitted is None:
-            continue
-        target = rule.rhs if rule.rhs is not None else ACCEPT
-        transitions.add((rule.lhs, rule.emitted, target))
-    for eps in g.epsilon_rules:
-        for sym_rules in g.emit_index.get(eps.rhs, {}).values():
-            for rule in sym_rules:
-                target = rule.rhs if rule.rhs is not None else ACCEPT
-                transitions.add((g.start, rule.emitted, target))
     accepting = {ACCEPT}
-    if g.has_empty_rule:
-        accepting.add(g.start)
+    for rule in g.rules:
+        if rule.emitted is not None:
+            target = rule.rhs if rule.rhs is not None else ACCEPT
+            transitions.add((rule.lhs, rule.emitted, target))
+        elif rule.rhs is None:  # the empty-word rule
+            accepting.add(START)
+        else:
+            for sym_rules in g.emit_index.get(rule.rhs, {}).values():
+                for r in sym_rules:
+                    target = r.rhs if r.rhs is not None else ACCEPT
+                    transitions.add((START, r.emitted, target))
     return automata.Nfa(
         states=frozenset(g.symbols) | {ACCEPT},
-        alphabet=ALPHABET,
         transitions=frozenset(transitions),
-        start=g.start,
+        start=START,
         accepting=frozenset(accepting),
     )

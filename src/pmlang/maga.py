@@ -69,11 +69,6 @@ class ClassTriple:
             m[2]: self.third_value,
         }
 
-    def describe(self) -> str:
-        return (
-            f"{self.context.name}:{self.first_value:+d}{self.second_value:+d}"
-        )
-
 
 @lru_cache(maxsize=None)
 def all_class_triples() -> tuple[ClassTriple, ...]:

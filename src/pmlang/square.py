@@ -20,7 +20,6 @@ per measurement, where a ``~`` prefix marks outcome -1 (``A B ~gamma``).
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -190,15 +189,14 @@ class TokenError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"~?(A|B|C|a|b|c|alpha|beta|gamma)\Z")
+_BY_TOKEN: dict[str, SignedSymbol] = {s.token: s for s in ALPHABET}
 
 
 def parse_token(text: str) -> SignedSymbol:
-    if not _TOKEN_RE.match(text):
-        raise ValueError(f"unrecognized token {text!r}")
-    if text.startswith("~"):
-        return signed(text[1:], -1)
-    return signed(text, 1)
+    try:
+        return _BY_TOKEN[text]
+    except KeyError:
+        raise ValueError(f"unrecognized token {text!r}") from None
 
 
 def parse_string(text: str) -> tuple[SignedSymbol, ...]:

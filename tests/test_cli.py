@@ -3,6 +3,7 @@ reference strings, machine formats, and seeded reproducibility."""
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -141,7 +142,7 @@ def test_count_json_is_what_json_dumps_writes(n):
     exact integers gives the same text.  The recurrence takes over from
     the DP at 88."""
     report = automata.count_words(verify.minimal_dfa(), n)
-    cells = zip(report.counts, report.cumulative, automata.hv_bits(report).bits)
+    cells = zip(report.counts, report.cumulative, automata.hv_bits(report))
     payload = {
         "rows": [
             {"n": i, "count": count, "cumulative": total, "bits": bits}
@@ -330,16 +331,22 @@ LAZY_IMPORT_SCRIPTS = [
 ]
 
 
+# the environment of a fresh process that imports this checkout's pmlang
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+FRESH_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
+
+
 @pytest.mark.parametrize("script", LAZY_IMPORT_SCRIPTS, ids=["cli", "package"])
 def test_only_the_simulator_loads_numpy(script):
     """In a fresh process, commands that do not sample leave numpy and
     the simulator unloaded; ``sample`` and the package's quantum names
     load them."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
-        env={**os.environ, "PYTHONPATH": path},
+        env=FRESH_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -449,6 +456,10 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         (
             ((HADAMARD, np.eye(2)), *WORDS[1:]),
             "the operator of A must be a signed permutation matrix",
+        ),
+        (
+            ((2 * quantum._Z, quantum._I), *WORDS[1:]),  # Hermitian, squares to 4
+            "the operator of A must square to the identity",
         ),
     ],
 )
@@ -781,6 +792,47 @@ def test_main_reports_an_internal_error_in_one_line(monkeypatch, capsys):
         cli.main()
     assert exit_.value.code == 2
     capsys.readouterr()
+
+
+def main_in_a_fresh_process(argv, stdout):
+    """Exit code and stderr of ``pmlang argv`` writing to ``stdout``,
+    which is buffered, as it is by default, so the flush at exit runs."""
+    env = {k: v for k, v in FRESH_ENV.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pmlang.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "A B"], ["count", "--max-length", "5"], ["dfa", "--emit", "dot"]],
+)
+def test_a_closed_pipe_exits_two_in_one_line(argv):
+    """Output to a pipe whose reader has gone is a write error, not an
+    internal one, and the flush at exit adds no second line."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = main_in_a_fresh_process(argv, write)
+    finally:
+        os.close(write)
+    assert result == (2, f"error: cannot write output: {os.strerror(errno.EPIPE)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["dfa", "-o", "/dev/full"], ["count", "--max-length", "5"]]
+)
+def test_a_full_device_exits_two_in_one_line(argv):
+    with open("/dev/full", "w") as full:
+        result = main_in_a_fresh_process(argv, full)
+    assert result == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_run_suites_rejects_unknown_names():

@@ -152,6 +152,17 @@ def test_nfa_shape():
     assert nfa.accepts(())
 
 
+def test_only_the_empty_word_rule_accepts_the_empty_string():
+    g = gr.build_grammar()
+    pruned = gr.Grammar(
+        g.symbols, tuple(r for r in g.rules if r.schema != "empty-word")
+    )
+    nfa = gr.to_nfa(pruned)
+    assert gr.to_nfa().accepts(())
+    assert not nfa.accepts(())
+    assert nfa.accepts(sq.parse_string("A B c ~gamma"))
+
+
 def test_grammar_matches_oracle_up_to_length_three():
     nfa = gr.to_nfa()
     for n in range(4):
@@ -168,7 +179,6 @@ def test_branch_through_prior_symbol_is_required():
     pruned = gr.Grammar(
         g.symbols,
         tuple(r for r in g.rules if r.schema != "pair-branch-prior"),
-        g.start,
     )
     nfa = gr.to_nfa(pruned)
     w = sq.parse_string("A B a")
