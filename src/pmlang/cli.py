@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -113,8 +114,8 @@ def cmd_derive(args, out) -> int:
         print("no derivation: the string is not in the language", file=out)
         return 1
     rows = [
-        [step.form(), step.rule.render(), step.rule.schema]
-        for step in witness.steps
+        [form, step.rule.render(), step.rule.schema]
+        for form, step in zip(witness.forms(), witness.steps)
     ]
     print(
         _render_table(["string derived", "rule applied", "schema"], rows),
@@ -340,7 +341,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {' '.join(message.split())}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: it depends
+    on nothing that changes between calls."""
     parser = _Parser(
         prog="pmlang",
         description="Measurement language of the Peres-Mermin square: "
@@ -356,36 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="check a measurement string and show the trace",
     )
     p.add_argument("string", help=string_help)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("derive", dash_string=True, help="print a witness derivation")
     p.add_argument("string", help=string_help)
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("grammar", help="inspect the instantiated grammar")
     p.add_argument("--dump", action="store_true", help="print every rule")
-    p.set_defaults(func=cmd_grammar)
 
     p = sub.add_parser("dfa", help="inspect or export the automaton")
     p.add_argument("--emit", choices=("dot",), help="emit a graph description")
     p.add_argument("--raw", action="store_true", help="use the unminimized automaton")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_dfa)
 
     p = sub.add_parser("count", help="exact word counts by length")
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bound", help="memory lower bounds for n qubits")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("density", help="information density of the bounds")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="table")
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("sample", help="sample measurement runs from the simulator")
     p.add_argument("--length", type=int, required=True)
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail if any sampled run is rejected by the consistency oracle",
     )
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
@@ -407,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         if f.name != "seed":
             flag = "--" + f.name.replace("_", "-")
             p.add_argument(flag, type=int, default=f.default)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -428,7 +423,8 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
         print(f"error: --qubits must be at most {maga.MAX_QUBITS}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, out)
+        # looked up by name, so a replaced cmd_<command> takes effect
+        return globals()[f"cmd_{args.command}"](args, out)
     except TokenError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -21,8 +21,9 @@ that clash on re-measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterable
 
 from . import automata
@@ -30,6 +31,7 @@ from .square import (
     ALPHABET,
     SignedSymbol,
     compatible,
+    format_string,
     parse_string,
     shared_context,
     third_value,
@@ -42,6 +44,7 @@ class GeneratingSymbol:
 
     prior: SignedSymbol | None
     promised: SignedSymbol | None
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.prior is not None:
@@ -49,6 +52,11 @@ class GeneratingSymbol:
                 raise ValueError("a pair symbol needs a promised symbol")
             if self.prior is self.promised or not compatible(self.prior, self.promised):
                 raise ValueError("pair symbols pair distinct compatible symbols")
+        # the value the generated hash would give, computed once
+        object.__setattr__(self, "_hash", hash((self.prior, self.promised)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_start(self) -> bool:
@@ -77,10 +85,13 @@ class GeneratingSymbol:
 START = GeneratingSymbol(None, None)
 
 
+# Interned, so the rules share one object per symbol.
+@lru_cache(maxsize=None)
 def single(x: SignedSymbol) -> GeneratingSymbol:
     return GeneratingSymbol(None, x)
 
 
+@lru_cache(maxsize=None)
 def pair(x: SignedSymbol, y: SignedSymbol) -> GeneratingSymbol:
     return GeneratingSymbol(x, y)
 
@@ -126,21 +137,33 @@ SCHEMAS = (
 )
 
 
+# A rule in the grammar's tables: the id of its right-hand symbol, or
+# -1 when it has none, and the rule itself.
+Edge = tuple[int, Rule]
+
+
 @dataclass
 class Grammar:
     symbols: tuple[GeneratingSymbol, ...]
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        # emit_index[lhs][terminal] lists emitting rules in canonical order
-        self.emit_index: dict[
-            GeneratingSymbol, dict[SignedSymbol, list[Rule]]
-        ] = {}
+        # Each symbol's id is its position in ``symbols``.
+        # emits[lhs id][terminal index] holds the emitting rules as
+        # edges, in canonical order; silent holds the rest.
+        ids = {sym: q for q, sym in enumerate(self.symbols)}
+        emits: list[list[list[Edge]]] = [[[] for _ in ALPHABET] for _ in self.symbols]
+        silent: list[Edge] = []
         for rule in self.rules:
-            if rule.emitted is not None:
-                self.emit_index.setdefault(rule.lhs, {}).setdefault(
-                    rule.emitted, []
-                ).append(rule)
+            edge = (-1 if rule.rhs is None else ids[rule.rhs], rule)
+            if rule.emitted is None:
+                silent.append(edge)
+            else:
+                emits[ids[rule.lhs]][rule.emitted.index].append(edge)
+        self.emits: tuple[tuple[tuple[Edge, ...], ...], ...] = tuple(
+            tuple(map(tuple, row)) for row in emits
+        )
+        self.silent: tuple[Edge, ...] = tuple(silent)
 
     def dump_lines(self) -> list[str]:
         return [rule.render() for rule in self.rules]
@@ -216,12 +239,6 @@ class DerivationStep:
     emitted_prefix: tuple[SignedSymbol, ...]
     tail: GeneratingSymbol | None
 
-    def form(self) -> str:
-        tokens = [s.token for s in self.emitted_prefix]
-        if self.tail is not None:
-            tokens.append(self.tail.label)
-        return " ".join(tokens) if tokens else "lambda"
-
 
 @dataclass(frozen=True)
 class Derivation:
@@ -233,6 +250,22 @@ class Derivation:
     def derived_string(self) -> tuple[SignedSymbol, ...]:
         return self.steps[-1].emitted_prefix
 
+    def forms(self) -> list[str]:
+        """The sentential form after each step, cut from the formatted
+        derived string: its emitted prefix, then the tail's label."""
+        w = self.derived_string()
+        text = format_string(w) + " "
+        # text[: ends[k]] is the first k tokens, each followed by a space
+        ends = list(accumulate((len(s.token) + 1 for s in w), initial=0))
+        forms = []
+        for step in self.steps:
+            head = text[: ends[len(step.emitted_prefix)]]
+            if step.tail is not None:
+                forms.append(head + step.tail.label)
+            else:
+                forms.append(head[:-1] or "lambda")
+        return forms
+
 
 def derive_membership(
     w: str | Iterable[SignedSymbol], grammar: Grammar | None = None
@@ -241,36 +274,40 @@ def derive_membership(
 
     Forward search over the rule graph with one back-pointer per
     (position, symbol); rules are explored in canonical order, so the
-    returned witness is deterministic.
+    returned witness is deterministic.  The search runs over symbol ids.
     """
     g = grammar or build_grammar()
     symbols = parse_string(w) if isinstance(w, str) else tuple(w)
-    # layers[i] maps each generating symbol reachable after i tokens, or
-    # None once the string is complete, to its predecessor and rule
-    layer: dict[GeneratingSymbol | None, tuple[GeneratingSymbol | None, Rule]] = {}
-    for rule in g.rules:
-        if rule.emitted is None:
-            layer.setdefault(rule.rhs, (None, rule))
+    # layers[i] maps the id of each generating symbol reachable after i
+    # tokens, or -1 once the string is complete, to its predecessor's id
+    # and the rule
+    layer = {}
+    for rhs, rule in g.silent:
+        if (rhs < 0) == (not symbols):
+            layer.setdefault(rhs, (-1, rule))
     layers = [layer]
+    emits = g.emits
     for i, tok in enumerate(symbols, 1):
         last = i == len(symbols)
+        t = tok.index
         layer = {}
-        for sym in layers[-1]:
-            for rule in g.emit_index.get(sym, {}).get(tok, ()):
-                if (rule.rhs is None) == last:
-                    layer.setdefault(rule.rhs, (sym, rule))
+        for q in layers[-1]:
+            for rhs, rule in emits[q][t]:
+                if (rhs < 0) == last:
+                    layer.setdefault(rhs, (q, rule))
         if not layer:
             return None
         layers.append(layer)
-    if None not in layers[-1]:
+    if -1 not in layers[-1]:
         return None
 
     steps: list[DerivationStep] = []
-    sym = None
+    q = -1
     for i in range(len(symbols), -1, -1):
-        prev, rule = layers[i][sym]
-        steps.append(DerivationStep(rule, symbols[:i], sym))
-        sym = prev
+        prev, rule = layers[i][q]
+        tail = g.symbols[q] if q >= 0 else None
+        steps.append(DerivationStep(rule, symbols[:i], tail))
+        q = prev
     return Derivation(tuple(reversed(steps)))
 
 
@@ -288,19 +325,21 @@ def to_nfa(grammar: Grammar | None = None) -> automata.Nfa:
     is the empty-word rule.
     """
     g = grammar or build_grammar()
+
+    def target(rhs: int) -> object:
+        return g.symbols[rhs] if rhs >= 0 else ACCEPT
+
     transitions: set[tuple[object, SignedSymbol, object]] = set()
+    for lhs, row in zip(g.symbols, g.emits):
+        for rhs, rule in chain.from_iterable(row):
+            transitions.add((lhs, rule.emitted, target(rhs)))
     accepting = {ACCEPT}
-    for rule in g.rules:
-        if rule.emitted is not None:
-            target = rule.rhs if rule.rhs is not None else ACCEPT
-            transitions.add((rule.lhs, rule.emitted, target))
-        elif rule.rhs is None:  # the empty-word rule
+    for rhs, _ in g.silent:
+        if rhs < 0:  # the empty-word rule
             accepting.add(START)
         else:
-            for sym_rules in g.emit_index.get(rule.rhs, {}).values():
-                for r in sym_rules:
-                    target = r.rhs if r.rhs is not None else ACCEPT
-                    transitions.add((START, r.emitted, target))
+            for r, rule in chain.from_iterable(g.emits[rhs]):
+                transitions.add((START, rule.emitted, target(r)))
     return automata.Nfa(
         states=frozenset(g.symbols) | {ACCEPT},
         transitions=frozenset(transitions),

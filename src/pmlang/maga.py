@@ -18,7 +18,7 @@ information density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Any, Callable, Hashable, Iterable, Iterator
@@ -56,6 +56,17 @@ class ClassTriple:
     context: Context
     first_value: int
     second_value: int
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # the value the generated hash would give, computed once: the
+        # pigeonhole check keys a dict by triples for every machine
+        object.__setattr__(
+            self, "_hash", hash((self.context, self.first_value, self.second_value))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def third_value(self) -> int:
@@ -170,6 +181,18 @@ def verify_disagreement_claim() -> DisagreementReport:
     return DisagreementReport(tuple(witnesses), tuple(missing))
 
 
+@lru_cache(maxsize=None)
+def _representative_classes() -> dict[String, ClassTriple]:
+    return {rep: classify(rep) for rep in representatives()}
+
+
+def _class_of_history(w: String) -> ClassTriple:
+    """``classify(w)``, looked up for the 24 representatives: the
+    pigeonhole check asks for them again for every machine."""
+    found = _representative_classes().get(w)
+    return classify(w) if found is None else found
+
+
 @dataclass
 class MagaSpec:
     """A memory-factoring predictor.
@@ -227,7 +250,7 @@ def reference_maga_plus() -> MagaSpec:
     """
 
     def m0(w: String, s: Observable):
-        return classify(w), s
+        return _class_of_history(w), s
 
     return MagaSpec(tuple(all_class_triples()), m0, class_answer)
 
@@ -239,7 +262,7 @@ def merged_reference_maga(keep: int, merge: int) -> MagaSpec:
     kept = tuple(t for t in triples if t != triples[merge])
 
     def m0(w: String, s: Observable):
-        t = classify(w)
+        t = _class_of_history(w)
         if t == triples[merge]:
             t = triples[keep]
         return t, s

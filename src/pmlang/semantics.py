@@ -20,7 +20,7 @@ quantum cross-check) is measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -60,6 +60,14 @@ class DeterminationState:
     """Immutable snapshot of the determined map; 0 marks undetermined."""
 
     values: tuple[int, ...]
+    # describe()'s text, built once: states are interned and reported often
+    _text: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        text = " ".join(
+            f"{o.name}={v:+d}" for o, v in zip(OBSERVABLES, self.values) if v
+        )
+        object.__setattr__(self, "_text", text or "(none)")
 
     def value_of(self, obs: Observable) -> int | None:
         v = self.values[obs.index]
@@ -74,11 +82,7 @@ class DeterminationState:
         return not any(self.values)
 
     def describe(self) -> str:
-        if self.is_empty:
-            return "(none)"
-        return " ".join(
-            f"{o.name}={v:+d}" for o, v in zip(OBSERVABLES, self.values) if v
-        )
+        return self._text
 
 
 _STATES: dict[tuple[int, ...], DeterminationState] = {}

@@ -794,6 +794,45 @@ def test_main_reports_an_internal_error_in_one_line(monkeypatch, capsys):
     capsys.readouterr()
 
 
+REUSE_SEQUENCE = [
+    ["verify", "--suite", "parity", "--seed", "1", "--exhaustive-len", "1"],
+    ["validate", "-A"],
+    ["count", "--max-length", "-1"],
+    ["validate", "A ~A"],
+    ["derive", "A B c ~gamma"],
+]
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    """Calls that follow others in one process give the stdout, stderr
+    and exit code each gives as the first call of a fresh process, and
+    the parser is built once."""
+    for argv in REUSE_SEQUENCE:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pmlang.cli", *argv],
+            env=FRESH_ENV,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        code, text, err = invoke_captured(argv)
+        assert (code, text, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_a_replaced_command_runs_after_the_parser_is_built(monkeypatch):
+    invoke(["validate", "A"])
+    calls = []
+
+    def recorded(args, out):
+        calls.append(args.string)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_validate", recorded)
+    assert invoke(["validate", "A B"]) == (0, "")
+    assert calls == ["A B"]
+
+
 def main_in_a_fresh_process(argv, stdout):
     """Exit code and stderr of ``pmlang argv`` writing to ``stdout``,
     which is buffered, as it is by default, so the flush at exit runs."""

@@ -3,13 +3,17 @@ combinatorial enumeration, witness derivations, derivation shape
 properties, and agreement with the operational oracle."""
 
 import dataclasses
+import hashlib
+import io
 import itertools
+import random
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmlang import automata as au
+from pmlang import cli
 from pmlang import grammar as gr
 from pmlang import semantics as sem
 from pmlang import square as sq
@@ -114,7 +118,7 @@ def test_reference_derivation():
     witness = gr.derive_membership("A B c ~gamma")
     assert witness is not None
     assert len(witness.steps) == 5
-    assert [step.form() for step in witness.steps] == [
+    assert witness.forms() == [
         "[A]",
         "A [A B]",
         "A B [C c]",
@@ -133,7 +137,7 @@ def test_empty_derivation():
     witness = gr.derive_membership("")
     assert len(witness.steps) == 1
     assert witness.steps[0].rule.schema == "empty-word"
-    assert witness.steps[0].form() == "lambda"
+    assert witness.forms() == ["lambda"]
 
 
 def test_single_token_derivations():
@@ -184,6 +188,20 @@ def test_branch_through_prior_symbol_is_required():
     w = sq.parse_string("A B a")
     assert sem.is_consistent(w)
     assert not nfa.accepts(w)
+    assert gr.derive_membership(w, pruned) is None
+    assert gr.derive_membership(w) is not None
+
+
+def test_each_grammar_searches_its_own_rules():
+    """The rule tables belong to each Grammar: a search of the full
+    grammar first leaves a pruned one's answer unchanged."""
+    g = gr.build_grammar()
+    pruned = gr.Grammar(
+        g.symbols,
+        tuple(r for r in g.rules if r.schema != "pair-branch-prior"),
+    )
+    w = sq.parse_string("A B a")
+    assert gr.derive_membership(w) is not None
     assert gr.derive_membership(w, pruned) is None
     assert gr.derive_membership(w) is not None
 
@@ -271,3 +289,40 @@ def test_grammar_lines_catch_a_pruned_schema(monkeypatch):
     assert (bounded.passed, bounded.detail) == (False, "6175 strings, 576 mismatches")
     assert (pairs.passed, pairs.detail) == (False, "188 pairs, 24 mismatches")
     assert not random_line.passed
+
+
+def seeded_consistent_string(rng, n):
+    """A consistent string of n tokens, each drawn uniformly from the
+    symbols the oracle accepts next."""
+    out, state = [], sem.EMPTY_STATE
+    for _ in range(n):
+        sym = rng.choice([s for s in sq.ALPHABET if sem.step(state, s) is not None])
+        out.append(sym)
+        state = sem.step(state, sym)
+    return tuple(out)
+
+
+def step_form(step):
+    """A step's sentential form joined token by token."""
+    tokens = [s.token for s in step.emitted_prefix]
+    if step.tail is not None:
+        tokens.append(step.tail.label)
+    return " ".join(tokens) if tokens else "lambda"
+
+
+def test_forms_cut_from_one_string_equal_the_token_joins():
+    """For a seeded consistent string of every length 1..256, the forms
+    equal the per-step joins, and the derive tables of all 256 are
+    those printed before the forms were cut from one string."""
+    rng = random.Random(20240817)
+    digest = hashlib.sha256()
+    for n in range(1, 257):
+        w = seeded_consistent_string(rng, n)
+        witness = gr.derive_membership(w)
+        assert witness.forms() == [step_form(step) for step in witness.steps]
+        out = io.StringIO()
+        assert cli.run(["derive", sq.format_string(w)], out=out) == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == (
+        "2f18e279a88cf74aaa84a1bd1bbf0886977b6c0a81c5c85096c0a81aca904789"
+    )
