@@ -25,15 +25,9 @@ FORMATS = ("table", "csv", "json")
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(cells):
-        return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt(headers)]
-    lines += [fmt(row) for row in rows]
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths)
+    return "\n".join(line.format(*row).rstrip() for row in (headers, *rows))
 
 
 def _emit_rows(headers, rows, fmt, out, extra: dict | None = None):
@@ -114,8 +108,8 @@ def cmd_derive(args, out) -> int:
         print("no derivation: the string is not in the language", file=out)
         return 1
     rows = [
-        [form, step.rule.render(), step.rule.schema]
-        for form, step in zip(witness.forms(), witness.steps)
+        [form, rule.text, rule.schema]
+        for form, rule in zip(witness.forms(), witness.steps)
     ]
     print(
         _render_table(["string derived", "rule applied", "schema"], rows),
@@ -130,8 +124,8 @@ def cmd_derive(args, out) -> int:
 def cmd_grammar(args, out) -> int:
     g = grammar.build_grammar()
     if args.dump:
-        for line in g.dump_lines():
-            print(line, file=out)
+        for rule in g.rules:
+            print(rule.text, file=out)
         return 0
     counts: dict[str, int] = {}
     for rule in g.rules:

@@ -22,7 +22,7 @@ that clash on re-measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from typing import Iterable
 
@@ -105,7 +105,9 @@ class Rule:
     rhs: GeneratingSymbol | None
     schema: str
 
-    def render(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """The rule as ``grammar --dump`` prints it, built on first use."""
         parts = [self.lhs.label, "->"]
         if self.emitted is not None:
             parts.append(self.emitted.token)
@@ -116,7 +118,7 @@ class Rule:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"Rule({self.render()})"
+        return f"Rule({self.text})"
 
 
 # Schema names in instantiation order.
@@ -164,9 +166,6 @@ class Grammar:
             tuple(map(tuple, row)) for row in emits
         )
         self.silent: tuple[Edge, ...] = tuple(silent)
-
-    def dump_lines(self) -> list[str]:
-        return [rule.render() for rule in self.rules]
 
 
 def _foreign(x: SignedSymbol, z: SignedSymbol) -> bool:
@@ -232,39 +231,26 @@ def build_grammar() -> Grammar:
 
 
 @dataclass(frozen=True)
-class DerivationStep:
-    """One rule application and the sentential form it produced."""
-
-    rule: Rule
-    emitted_prefix: tuple[SignedSymbol, ...]
-    tail: GeneratingSymbol | None
-
-
-@dataclass(frozen=True)
 class Derivation:
-    steps: tuple[DerivationStep, ...]
+    """The rules that derive ``string``, in order.  The first leaves
+    ``START`` and emits nothing, each later one emits the next token,
+    and only the last has no right-hand symbol; so the form after step
+    k is the first k tokens, then the label of that symbol."""
 
-    def terminal_counts(self) -> tuple[int, ...]:
-        return tuple(len(s.emitted_prefix) for s in self.steps)
-
-    def derived_string(self) -> tuple[SignedSymbol, ...]:
-        return self.steps[-1].emitted_prefix
+    string: tuple[SignedSymbol, ...]
+    steps: tuple[Rule, ...]
 
     def forms(self) -> list[str]:
         """The sentential form after each step, cut from the formatted
-        derived string: its emitted prefix, then the tail's label."""
-        w = self.derived_string()
-        text = format_string(w) + " "
-        # text[: ends[k]] is the first k tokens, each followed by a space
-        ends = list(accumulate((len(s.token) + 1 for s in w), initial=0))
-        forms = []
-        for step in self.steps:
-            head = text[: ends[len(step.emitted_prefix)]]
-            if step.tail is not None:
-                forms.append(head + step.tail.label)
-            else:
-                forms.append(head[:-1] or "lambda")
-        return forms
+        derived string."""
+        text = format_string(self.string)
+        spaced = text + " "
+        # spaced[: ends[k]] is the first k tokens, each followed by a space
+        ends = accumulate((len(s.token) + 1 for s in self.string), initial=0)
+        forms = [
+            spaced[:end] + rule.rhs.label for end, rule in zip(ends, self.steps[:-1])
+        ]
+        return forms + [text or "lambda"]
 
 
 def derive_membership(
@@ -301,14 +287,12 @@ def derive_membership(
     if -1 not in layers[-1]:
         return None
 
-    steps: list[DerivationStep] = []
+    steps = []
     q = -1
-    for i in range(len(symbols), -1, -1):
-        prev, rule = layers[i][q]
-        tail = g.symbols[q] if q >= 0 else None
-        steps.append(DerivationStep(rule, symbols[:i], tail))
-        q = prev
-    return Derivation(tuple(reversed(steps)))
+    for layer in reversed(layers):
+        q, rule = layer[q]
+        steps.append(rule)
+    return Derivation(symbols, tuple(reversed(steps)))
 
 
 ACCEPT = "ACCEPT"

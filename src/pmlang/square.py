@@ -116,20 +116,17 @@ class SignedSymbol:
     value: int  # +1 or -1
     # position in the canonical 18-symbol alphabet order
     index: int = field(init=False, compare=False, repr=False)
+    token: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "index", 2 * self.obs.index + (0 if self.value == 1 else 1)
-        )
+        minus = self.value != 1
+        object.__setattr__(self, "index", 2 * self.obs.index + int(minus))
+        object.__setattr__(self, "token", "~" * minus + self.obs.name)
 
     def __hash__(self) -> int:
         # equal symbols share an index; the generated hash would recurse
         # into the observable on every cache lookup
         return self.index
-
-    @property
-    def token(self) -> str:
-        return self.obs.name if self.value == 1 else "~" + self.obs.name
 
     def __repr__(self) -> str:
         return f"SignedSymbol({self.token})"

@@ -113,6 +113,38 @@ def test_grammar_dump():
     assert lines[0] == "[S] -> lambda"
     assert "[S] -> [A]" in lines
     assert "[C c] -> c [c ~gamma]" in lines
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f6d3f474117e3b484bcd64aad436575f5151566db06517636cdef129b70d0c49"
+    )
+
+
+def ljust_table(headers, rows):
+    """The reference rendering: each cell left-justified to its column's
+    width, two spaces between columns, trailing spaces stripped."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+
+    def fmt(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    return "\n".join([fmt(headers)] + [fmt(row) for row in rows])
+
+
+@pytest.mark.parametrize(
+    "headers, rows",
+    [
+        (["n", "count"], []),  # no rows
+        (["a wide header", "b"], [["x", "1"], ["yz", "22"]]),
+        (["k", "v"], [["a much wider cell", "1"], ["b", "2"]]),
+        (["key", "note"], [["a", ""], ["bb", ""]]),  # empty last column
+        (["key", ""], [["a", ""]]),  # a column of width 0
+        (["fmt", "x"], [["{}", "{0}"], ["{:>9}", "}{"]]),  # braces in cells
+    ],
+)
+def test_render_table_matches_ljust_padding(headers, rows):
+    assert cli._render_table(headers, rows) == ljust_table(headers, rows)
 
 
 def test_count_csv():

@@ -125,7 +125,7 @@ def test_reference_derivation():
         "A B c [c ~gamma]",
         "A B c ~gamma",
     ]
-    assert sq.format_string(witness.derived_string()) == "A B c ~gamma"
+    assert sq.format_string(witness.string) == "A B c ~gamma"
 
 
 def test_clashing_string_has_no_derivation():
@@ -136,7 +136,7 @@ def test_clashing_string_has_no_derivation():
 def test_empty_derivation():
     witness = gr.derive_membership("")
     assert len(witness.steps) == 1
-    assert witness.steps[0].rule.schema == "empty-word"
+    assert witness.steps[0].schema == "empty-word"
     assert witness.forms() == ["lambda"]
 
 
@@ -241,17 +241,26 @@ def consistent_strings(draw, max_len=8):
 @given(consistent_strings())
 @settings(max_examples=200)
 def test_derivations_are_monotone_and_keep_pairs(w):
+    """The first rule leaves the start symbol without emitting; each
+    later one leaves the symbol the one before led to and emits the
+    next token; the last leads nowhere; and once a rule leads to a
+    pair, every later one does until the last."""
     witness = gr.derive_membership(w)
-    assert witness is not None
-    counts = witness.terminal_counts()
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert witness is not None and witness.string == w
+    steps = witness.steps
+    assert len(steps) == len(w) + 1
+    assert steps[0].lhs is gr.START and steps[0].emitted is None
+    for k in range(1, len(steps)):
+        assert steps[k].lhs is steps[k - 1].rhs
+        assert steps[k].emitted is w[k - 1]
+    assert steps[-1].rhs is None
     seen_pair = False
-    for step in witness.steps:
-        if step.tail is None:
+    for rule in steps:
+        if rule.rhs is None:
             continue
         if seen_pair:
-            assert step.tail.is_pair
-        seen_pair = seen_pair or step.tail.is_pair
+            assert rule.rhs.is_pair
+        seen_pair = seen_pair or rule.rhs.is_pair
 
 
 @given(st.lists(tokens, max_size=8))
@@ -302,11 +311,13 @@ def seeded_consistent_string(rng, n):
     return tuple(out)
 
 
-def step_form(step):
-    """A step's sentential form joined token by token."""
-    tokens = [s.token for s in step.emitted_prefix]
-    if step.tail is not None:
-        tokens.append(step.tail.label)
+def step_form(witness, k):
+    """The sentential form after step k, joined token by token: the
+    first k tokens, then the label of the rule's right-hand symbol."""
+    tokens = [s.token for s in witness.string[:k]]
+    rhs = witness.steps[k].rhs
+    if rhs is not None:
+        tokens.append(rhs.label)
     return " ".join(tokens) if tokens else "lambda"
 
 
@@ -319,7 +330,9 @@ def test_forms_cut_from_one_string_equal_the_token_joins():
     for n in range(1, 257):
         w = seeded_consistent_string(rng, n)
         witness = gr.derive_membership(w)
-        assert witness.forms() == [step_form(step) for step in witness.steps]
+        assert witness.forms() == [
+            step_form(witness, k) for k in range(len(witness.steps))
+        ]
         out = io.StringIO()
         assert cli.run(["derive", sq.format_string(w)], out=out) == 0
         digest.update(out.getvalue().encode())
