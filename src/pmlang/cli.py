@@ -16,7 +16,8 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from . import automata, grammar, maga, semantics, verify
 from .square import TokenError, format_string, parse_string
@@ -24,10 +25,19 @@ from .square import TokenError, format_string, parse_string
 FORMATS = ("table", "csv", "json")
 
 
+def _table_lines(headers, rows, widths=None) -> Iterator[str]:
+    """The headers, then each row, every cell padded to its column's
+    widest and the line right-stripped.  Given ``widths``, the widest
+    cell of each column of ``rows``, the rows are read one at a time."""
+    if widths is None:
+        rows = list(rows)
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    line = "  ".join(f"{{:<{max(w, len(h))}}}" for w, h in zip(widths, headers))
+    return (line.format(*row).rstrip() for row in chain([headers], rows))
+
+
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    line = "  ".join(f"{{:<{w}}}" for w in widths)
-    return "\n".join(line.format(*row).rstrip() for row in (headers, *rows))
+    return "\n".join(_table_lines(headers, rows))
 
 
 def _emit_rows(headers, rows, fmt, out, extra: dict | None = None):
@@ -107,14 +117,13 @@ def cmd_derive(args, out) -> int:
     if witness is None:
         print("no derivation: the string is not in the language", file=out)
         return 1
-    rows = [
-        [form, rule.text, rule.schema]
-        for form, rule in zip(witness.forms(), witness.steps)
-    ]
-    print(
-        _render_table(["string derived", "rule applied", "schema"], rows),
-        file=out,
-    )
+    steps = witness.steps
+    texts, schemas = [rule.text for rule in steps], [rule.schema for rule in steps]
+    widths = (witness.form_width(), max(map(len, texts)), max(map(len, schemas)))
+    headers = ["string derived", "rule applied", "schema"]
+    # a row at a time, so a long derivation is never held in full
+    for line in _table_lines(headers, zip(witness.forms(), texts, schemas), widths):
+        print(line, file=out)
     return 0
 
 

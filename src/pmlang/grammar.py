@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 from . import automata
 from .square import (
@@ -70,7 +70,7 @@ class GeneratingSymbol:
     def is_pair(self) -> bool:
         return self.prior is not None
 
-    @property
+    @cached_property
     def label(self) -> str:
         if self.is_start:
             return "[S]"
@@ -139,9 +139,15 @@ SCHEMAS = (
 )
 
 
-# A rule in the grammar's tables: the id of its right-hand symbol, or
+# A rule in the look-ahead table: the id of its right-hand symbol, or
 # -1 when it has none, and the rule itself.
 Edge = tuple[int, Rule]
+
+# The look-ahead past the last token, which also stands for the token
+# before the first; a look-ahead cell keys a token t and the look-ahead
+# u as t * WIDTH + u.
+END = len(ALPHABET)
+WIDTH = END + 1
 
 
 @dataclass
@@ -150,22 +156,47 @@ class Grammar:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        # Each symbol's id is its position in ``symbols``.
-        # emits[lhs id][terminal index] holds the emitting rules as
-        # edges, in canonical order; silent holds the rest.
+        # The look-ahead table.  Each symbol's id is its position in
+        # ``symbols``, and the extra last row holds the silent rules,
+        # under token END.  cells[q][t * WIDTH + u] is the one edge that
+        # leaves q emitting t and leads to a symbol that emits u next,
+        # or to none when u is END.  Only filled cells are stored; a
+        # cell that two rules fill is left out, and conflicts names it
+        # and its rules.
         ids = {sym: q for q, sym in enumerate(self.symbols)}
-        emits: list[list[list[Edge]]] = [[[] for _ in ALPHABET] for _ in self.symbols]
-        silent: list[Edge] = []
+        # ahead[q] holds the tokens symbol q emits; ahead[-1], of no symbol, END
+        ahead = [set() for _ in self.symbols] + [{END}]
+        for rule in self.rules:
+            if rule.emitted is not None:
+                ahead[ids[rule.lhs]].add(rule.emitted.index)
+        self.cells: list[dict[int, Edge]] = [{} for _ in ahead]
+        shared: dict[tuple[int, int], list[Edge]] = {}
         for rule in self.rules:
             edge = (-1 if rule.rhs is None else ids[rule.rhs], rule)
             if rule.emitted is None:
-                silent.append(edge)
+                q, t = len(self.symbols), END
             else:
-                emits[ids[rule.lhs]][rule.emitted.index].append(edge)
-        self.emits: tuple[tuple[tuple[Edge, ...], ...], ...] = tuple(
-            tuple(map(tuple, row)) for row in emits
-        )
-        self.silent: tuple[Edge, ...] = tuple(silent)
+                q, t = ids[rule.lhs], rule.emitted.index
+            cell = self.cells[q]
+            for u in ahead[edge[0]]:
+                key = t * WIDTH + u
+                if key in cell:
+                    shared.setdefault((q, key), [cell[key]]).append(edge)
+                else:
+                    cell[key] = edge
+        self.conflicts: dict[tuple[int, int], str] = {}
+        for (q, key), edges in shared.items():
+            del self.cells[q][key]
+            self.conflicts[q, key] = _cell_text(key, edges)
+
+
+def _cell_text(key: int, edges: list[Edge]) -> str:
+    """A look-ahead cell and the rules that fill it, for a message."""
+    t, u = divmod(key, WIDTH)
+    on = "" if t == END else f" on {ALPHABET[t].token}"
+    before = "end" if u == END else ALPHABET[u].token
+    rules = ", ".join(f"{rule.text} ({rule.schema})" for _, rule in edges)
+    return f"{edges[0][1].lhs.label}{on} before {before}: {rules}"
 
 
 def _foreign(x: SignedSymbol, z: SignedSymbol) -> bool:
@@ -240,17 +271,26 @@ class Derivation:
     string: tuple[SignedSymbol, ...]
     steps: tuple[Rule, ...]
 
-    def forms(self) -> list[str]:
-        """The sentential form after each step, cut from the formatted
-        derived string."""
+    def _cuts(self) -> tuple[str, Iterator[tuple[int, str]]]:
+        """The formatted string, and for each form but the last the
+        length of its token prefix and the right-hand label after it."""
         text = format_string(self.string)
-        spaced = text + " "
-        # spaced[: ends[k]] is the first k tokens, each followed by a space
+        # the first k tokens, each followed by a space, end at ends[k]
         ends = accumulate((len(s.token) + 1 for s in self.string), initial=0)
-        forms = [
-            spaced[:end] + rule.rhs.label for end, rule in zip(ends, self.steps[:-1])
-        ]
-        return forms + [text or "lambda"]
+        return text, zip(ends, (rule.rhs.label for rule in self.steps[:-1]))
+
+    def forms(self) -> Iterator[str]:
+        """The sentential form after each step, cut from the formatted
+        derived string, one at a time."""
+        text, cuts = self._cuts()
+        spaced = text + " "
+        yield from (spaced[:end] + label for end, label in cuts)
+        yield text or "lambda"
+
+    def form_width(self) -> int:
+        """The length of the longest form, without building the forms."""
+        text, cuts = self._cuts()
+        return max([len(text or "lambda"), *(end + len(label) for end, label in cuts)])
 
 
 def derive_membership(
@@ -258,41 +298,30 @@ def derive_membership(
 ) -> Derivation | None:
     """A witness derivation of ``w``, or None when no derivation exists.
 
-    Forward search over the rule graph with one back-pointer per
-    (position, symbol); rules are explored in canonical order, so the
-    returned witness is deterministic.  The search runs over symbol ids.
+    One pass with one token of look-ahead: a derivation can apply at
+    each token only the rule in the cell of (its current symbol, the
+    token, the next token or END), because the rule after it must emit
+    that next token.  Each cell holds one rule, so the pass finds a
+    derivation exactly when one exists, and it is the only one.  A cell
+    that two rules fill raises ValueError when the pass reads it.
     """
     g = grammar or build_grammar()
     symbols = parse_string(w) if isinstance(w, str) else tuple(w)
-    # layers[i] maps the id of each generating symbol reachable after i
-    # tokens, or -1 once the string is complete, to its predecessor's id
-    # and the rule
-    layer = {}
-    for rhs, rule in g.silent:
-        if (rhs < 0) == (not symbols):
-            layer.setdefault(rhs, (-1, rule))
-    layers = [layer]
-    emits = g.emits
-    for i, tok in enumerate(symbols, 1):
-        last = i == len(symbols)
-        t = tok.index
-        layer = {}
-        for q in layers[-1]:
-            for rhs, rule in emits[q][t]:
-                if (rhs < 0) == last:
-                    layer.setdefault(rhs, (q, rule))
-        if not layer:
-            return None
-        layers.append(layer)
-    if -1 not in layers[-1]:
-        return None
-
+    tokens = [s.index for s in symbols]
+    cells = g.cells
+    q = len(g.symbols)  # the last row, of the silent rules
     steps = []
-    q = -1
-    for layer in reversed(layers):
-        q, rule = layer[q]
+    for t, u in zip([END, *tokens], [*tokens, END]):
+        key = t * WIDTH + u
+        edge = cells[q].get(key)
+        if edge is None:
+            if (q, key) in g.conflicts:
+                conflict = g.conflicts[q, key]
+                raise ValueError(f"two rules fill one look-ahead cell, {conflict}")
+            return None
+        q, rule = edge
         steps.append(rule)
-    return Derivation(symbols, tuple(reversed(steps)))
+    return Derivation(symbols, tuple(steps))
 
 
 ACCEPT = "ACCEPT"
@@ -309,21 +338,18 @@ def to_nfa(grammar: Grammar | None = None) -> automata.Nfa:
     is the empty-word rule.
     """
     g = grammar or build_grammar()
-
-    def target(rhs: int) -> object:
-        return g.symbols[rhs] if rhs >= 0 else ACCEPT
-
-    transitions: set[tuple[object, SignedSymbol, object]] = set()
-    for lhs, row in zip(g.symbols, g.emits):
-        for rhs, rule in chain.from_iterable(row):
-            transitions.add((lhs, rule.emitted, target(rhs)))
+    # moves[q]: the (terminal, target) of each rule that leaves q emitting
+    moves: dict[GeneratingSymbol, list] = {sym: [] for sym in g.symbols}
+    for rule in g.rules:
+        if rule.emitted is not None:
+            moves[rule.lhs].append((rule.emitted, ACCEPT if rule.rhs is None else rule.rhs))
+    transitions = {(lhs, sym, dst) for lhs, row in moves.items() for sym, dst in row}
     accepting = {ACCEPT}
-    for rhs, _ in g.silent:
-        if rhs < 0:  # the empty-word rule
+    for rule in g.rules:
+        if rule.emitted is None and rule.rhs is None:  # the empty-word rule
             accepting.add(START)
-        else:
-            for r, rule in chain.from_iterable(g.emits[rhs]):
-                transitions.add((START, rule.emitted, target(r)))
+        elif rule.emitted is None:
+            transitions |= {(START, sym, dst) for sym, dst in moves[rule.rhs]}
     return automata.Nfa(
         states=frozenset(g.symbols) | {ACCEPT},
         transitions=frozenset(transitions),

@@ -233,16 +233,30 @@ def suite_grammar(cfg: VerifyConfig) -> SuiteResult:
         f"{bad} mismatches",
     )
 
-    witness = grammar.derive_membership("A B c ~gamma")
+    # derive_membership reads one rule per cell; with the pair line,
+    # every consistent string has exactly one derivation
+    g = grammar.build_grammar()
+    cells = sum(map(len, g.cells)) + len(g.conflicts)
+    detail = [f"{cells} cells, {len(g.conflicts)} with two rules", *g.conflicts.values()]
+    result.add(
+        "no look-ahead cell (symbol, token, next token or end), the start "
+        "symbol's silent rules included, holds two rules, so every string "
+        "has at most one derivation",
+        not g.conflicts,
+        "; ".join(detail),
+    )
+
+    try:
+        witness = grammar.derive_membership("A B c ~gamma")
+        clash_rejected = grammar.derive_membership("A B c gamma") is None
+    except ValueError:  # the pass read a cell that holds two rules
+        witness, clash_rejected = None, False
     result.add(
         "the four-token reference string has a five-step derivation",
         witness is not None and len(witness.steps) == 5,
         "no derivation" if witness is None else f"{len(witness.steps)} steps",
     )
-    result.add(
-        "the clashing variant has no derivation",
-        grammar.derive_membership("A B c gamma") is None,
-    )
+    result.add("the clashing variant has no derivation", clash_rejected)
     good = semantics.trace("A B c ~gamma")
     clash = semantics.trace("A B c gamma")
     result.add(

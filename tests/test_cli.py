@@ -439,7 +439,7 @@ def test_seeded_quantum_output_is_pinned(argv, digest):
     [
         (
             "grammar",
-            "f05dfb970cbbfbb96cf1a8593c41f103587245e921a8ccc9e73c25e5580d7c63",
+            "4ff6e8fd790a52ca4f1a51b81c8d74929d8427f9d079f4009a59c68b08d2fb5a",
         ),
         (
             "adapter",
@@ -600,7 +600,7 @@ def test_verify_with_reduced_depths():
     assert "FAIL" not in text
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "66d4adc2f96a6a45ba0fe821f084157f3f3b3181adf7532e803b67e08396be30"
+        == "602ef860c903faf048be01aa76a9d00c2d41ab1390c530c1de8149a00073e496"
     )
     for detail in (
         "(6175 strings, 0 mismatches)",

@@ -9,6 +9,7 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,7 +119,7 @@ def test_reference_derivation():
     witness = gr.derive_membership("A B c ~gamma")
     assert witness is not None
     assert len(witness.steps) == 5
-    assert witness.forms() == [
+    assert list(witness.forms()) == [
         "[A]",
         "A [A B]",
         "A B [C c]",
@@ -137,7 +138,7 @@ def test_empty_derivation():
     witness = gr.derive_membership("")
     assert len(witness.steps) == 1
     assert witness.steps[0].schema == "empty-word"
-    assert witness.forms() == ["lambda"]
+    assert list(witness.forms()) == ["lambda"]
 
 
 def test_single_token_derivations():
@@ -193,7 +194,7 @@ def test_branch_through_prior_symbol_is_required():
 
 
 def test_each_grammar_searches_its_own_rules():
-    """The rule tables belong to each Grammar: a search of the full
+    """The rule tables belong to each Grammar: a derivation in the full
     grammar first leaves a pruned one's answer unchanged."""
     g = gr.build_grammar()
     pruned = gr.Grammar(
@@ -330,7 +331,7 @@ def test_forms_cut_from_one_string_equal_the_token_joins():
     for n in range(1, 257):
         w = seeded_consistent_string(rng, n)
         witness = gr.derive_membership(w)
-        assert witness.forms() == [
+        assert list(witness.forms()) == [
             step_form(witness, k) for k in range(len(witness.steps))
         ]
         out = io.StringIO()
@@ -339,3 +340,121 @@ def test_forms_cut_from_one_string_equal_the_token_joins():
     assert digest.hexdigest() == (
         "2f18e279a88cf74aaa84a1bd1bbf0886977b6c0a81c5c85096c0a81aca904789"
     )
+
+
+def test_seeded_consistent_strings_derive_as_a_chain_of_rules():
+    """The query workload's sampled class, at every length 1..300: the
+    witness leaves START silently, each later rule leaves the symbol the
+    one before led to and emits the next token, and the last leads
+    nowhere."""
+    rng = random.Random(1)
+    for n in range(1, 301):
+        w = seeded_consistent_string(rng, n)
+        steps = gr.derive_membership(w).steps
+        assert steps[0].lhs is gr.START and steps[0].emitted is None
+        assert all(rule.lhs is before.rhs for before, rule in zip(steps, steps[1:]))
+        assert tuple(rule.emitted for rule in steps[1:]) == w
+        assert steps[-1].rhs is None
+
+
+def test_a_flipped_repeat_has_no_derivation_at_every_length():
+    """The query workload's flipped class, at every length 1..300: a
+    seeded consistent string with its last measurement repeated with
+    the opposite outcome."""
+    rng = random.Random(2)
+    for n in range(1, 301):
+        w = seeded_consistent_string(rng, n)
+        assert gr.derive_membership(w + (sq.ALPHABET[w[-1].index ^ 1],)) is None
+
+
+def test_a_random_string_has_no_derivation_from_its_first_clash_on():
+    """The query workload's random class: uniform strings of 1..256
+    tokens.  When ``semantics.trace`` puts the first clash at token k,
+    the first k tokens derive, and neither the first k + 1 nor the
+    whole string does."""
+    rng = random.Random(3)
+    clashes = 0
+    for _ in range(500):
+        w = tuple(rng.choice(sq.ALPHABET) for _ in range(rng.randint(1, 256)))
+        k = sem.trace(w).failed_at
+        if k is None:
+            assert gr.derive_membership(w) is not None
+            continue
+        clashes += 1
+        assert gr.derive_membership(w[:k]) is not None
+        assert gr.derive_membership(w[: k + 1]) is None
+        assert gr.derive_membership(w) is None
+    assert clashes > 400
+
+
+def test_derivations_counted_over_the_lookahead_table_are_the_word_counts():
+    """A layer DP over the look-ahead table alone: a node is a symbol id
+    and the token it must emit next, or (-1, END) once the string is
+    complete, weighted by the derivations that reach it.  The complete
+    derivations of each length 0..5 number exactly the words."""
+    g = gr.build_grammar()
+
+    def cells(q, t):
+        """The right-hand id and look-ahead of each filled cell (q, t, u)."""
+        for key, (rhs, _) in g.cells[q].items():
+            if key // gr.WIDTH == t:
+                yield rhs, key % gr.WIDTH
+
+    layer = Counter(cells(len(g.symbols), gr.END))
+    counts = []
+    for _ in range(6):
+        counts.append(layer[-1, gr.END])
+        after = Counter()
+        for (q, t), weight in layer.items():
+            if q >= 0:
+                for node in cells(q, t):
+                    after[node] += weight
+        layer = after
+    assert counts == list(au.count_words(verify.minimal_dfa(), 5).counts)
+    assert counts == [1, 18, 306, 4914, 76626, 1175634]
+
+
+def with_twin(schema):
+    """The grammar plus a copy of its first ``schema`` rule under another
+    schema name, so two rules fill one look-ahead cell."""
+    g = gr.build_grammar()
+    rule = next(r for r in g.rules if r.schema == schema)
+    return gr.Grammar(g.symbols, (*g.rules, dataclasses.replace(rule, schema="twin")))
+
+
+def test_a_second_rule_in_one_cell_is_named_not_chosen():
+    g = with_twin("pair-repeat")
+    assert list(g.conflicts.values()) == [
+        "[A B] on B before B: [A B] -> B [A B] (pair-repeat), "
+        "[A B] -> B [A B] (twin)"
+    ]
+    with pytest.raises(ValueError, match=r"look-ahead cell, \[A B\] on B before B"):
+        gr.derive_membership("A B B", g)
+    # a pass that reads no shared cell still gives the one derivation
+    assert gr.derive_membership("A B c", g) == gr.derive_membership("A B c")
+
+    g = with_twin("first-symbol")
+    with pytest.raises(ValueError, match=r"\[S\] before A: \[S\] -> \[A\]"):
+        gr.derive_membership("A", g)
+
+
+@pytest.mark.parametrize("schema, failed", [("pair-repeat", 1), ("first-symbol", 3)])
+def test_a_second_rule_in_one_cell_fails_the_unambiguity_line(
+    monkeypatch, schema, failed
+):
+    """The report fails the line and exits 1, with no traceback.  The
+    twin of a first-symbol rule shares the cell [S] before A, which the
+    pass reads on both reference strings, so their lines fail too."""
+    verify._pipeline()  # built from the true grammar, as the cache keeps it
+    twinned = with_twin(schema)
+    monkeypatch.setattr(gr, "build_grammar", lambda: twinned)
+    out = io.StringIO()
+    argv = "verify --suite grammar --seed 3 --exhaustive-len 2 --random-strings 100"
+    assert cli.run(argv.split(), out=out) == 1
+    lines = out.getvalue().splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == failed
+    assert fails[0].startswith("FAIL no look-ahead cell")
+    (cell,) = twinned.conflicts.values()
+    assert fails[0].endswith(f"(2647 cells, 1 with two rules; {cell})")
+    assert lines[-1] == f"[summary] {7 - failed}/7 checks passed"
