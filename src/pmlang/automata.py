@@ -15,16 +15,12 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from operator import or_
 from typing import Any, Iterable, Iterator, Mapping
 
 from .semantics import reachable
 from .square import ALPHABET, SignedSymbol
-
-_EMPTY: frozenset = frozenset()
-
 
 @dataclass
 class Nfa:
@@ -39,32 +35,6 @@ class Nfa:
         for src, _, dst in self.transitions:
             if src not in self.states or dst not in self.states:
                 raise ValueError("transition references an undeclared state")
-
-    @cached_property
-    def transition_map(self) -> dict[tuple[Any, SignedSymbol], frozenset]:
-        raw: dict[tuple[Any, SignedSymbol], set] = {}
-        for src, sym, dst in self.transitions:
-            raw.setdefault((src, sym), set()).add(dst)
-        return {k: frozenset(v) for k, v in raw.items()}
-
-    def step(self, subset: frozenset, sym: SignedSymbol) -> frozenset:
-        """The states reachable from ``subset`` on one symbol."""
-        tmap = self.transition_map
-        nxt: set = set()
-        for state in subset:
-            nxt |= tmap.get((state, sym), _EMPTY)
-        return frozenset(nxt)
-
-    def run(self, word: Iterable[SignedSymbol]) -> frozenset:
-        current = frozenset([self.start])
-        for sym in word:
-            current = self.step(current, sym)
-            if not current:
-                break
-        return current
-
-    def accepts(self, word: Iterable[SignedSymbol]) -> bool:
-        return bool(self.run(word) & self.accepting)
 
 
 @dataclass
@@ -111,7 +81,7 @@ def determinize(nfa: Nfa) -> Dfa:
     states are indexed once, and each (state, symbol) pair gets the mask
     of its successors, so a step ORs the masks of the subset's bits and
     hashes no NFA state.  State numbering follows discovery order (BFS
-    by alphabet index), the same as subsets built by ``Nfa.step`` give,
+    by alphabet index), the same as a subset construction over frozensets,
     so the result is deterministic.
     """
     index = {state: i for i, state in enumerate(nfa.states | {nfa.start})}

@@ -20,6 +20,7 @@ from itertools import combinations
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .square import ALPHABET, CONTEXTS, OBSERVABLES, Observable, SignedSymbol
 
@@ -27,8 +28,12 @@ TOLERANCE = 1e-12
 
 # Measurements per block of the batched sampler, and the fewest runs
 # in a block; see block_runs().
-BLOCK_STEPS = 1 << 10
+BLOCK_STEPS = 1 << 12
 MIN_BLOCK_RUNS = 8
+
+# haar_vector draws again while the norm of its Gaussian draw is at
+# most this
+_MIN_NORM = 1e-6
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,17 +149,32 @@ def operator_law_failures(table: dict[Observable, PauliObservable]) -> list[str]
     return failures
 
 
+def haar_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors from rows of eight normal draws, the real parts then
+    the imaginary parts, and per row whether its norm exceeds _MIN_NORM;
+    a row that does not is drawn again by :func:`haar_vector`, and its
+    vector here means nothing.
+
+    The norm is np.linalg.norm's, bit for bit: the square root of the
+    real and the imaginary parts' dot products, each of which adds its
+    four squares in two lanes, (x0² + x2²) + (x1² + x3²), as the
+    OpenBLAS dot product that numpy ships does for four elements.
+    """
+    squares = (z * z).reshape(-1, 2, 2, 2)  # row, part, half, lane
+    lanes = squares[:, :, 0] + squares[:, :, 1]
+    dots = lanes[:, :, 0] + lanes[:, :, 1]
+    norm = np.sqrt(dots[:, 0] + dots[:, 1])
+    vec = z[:, :4] + 1j * z[:, 4:]
+    return vec / norm[:, None], norm > _MIN_NORM
+
+
 def haar_vector(rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed unit vector from normalized complex Gaussians."""
+    """A Haar-distributed unit vector from normalized complex Gaussians:
+    the one-row case of :func:`haar_rows`, drawn until its norm is kept."""
     while True:
-        z = rng.normal(size=8)
-        vec = z[:4] + 1j * z[4:]
-        # np.linalg.norm's own formula for a complex vector, without its
-        # dispatch
-        re, im = vec.real, vec.imag
-        norm = np.sqrt(re.dot(re) + im.dot(im))
-        if norm > 1e-6:
-            return vec / norm
+        vec, kept = haar_rows(rng.normal(size=(1, 8)))
+        if kept[0]:
+            return vec[0]
 
 
 def haar_random_state(rng: np.random.Generator) -> QState:
@@ -222,6 +242,28 @@ def measure_runs(
     return plus.T, psi
 
 
+def measure_fresh(rng: np.random.Generator, ks: list[int], runs: int) -> np.ndarray:
+    """The outcomes (True for +1) of measuring the observables ``ks`` in
+    turn on ``runs`` fresh Haar states, as a (runs, len(ks)) array.  Per
+    run, ``rng`` draws the state by :func:`haar_vector` and then the
+    run's uniforms by ``rng.random(len(ks))``.
+
+    No draw depends on a state, so the draws come first, one
+    ``normal(size=8)`` per state, and the runs are measured together.
+    If some state's draw would be drawn again, every later draw moves,
+    so ``rng`` is rewound and draws each state by haar_vector itself.
+    """
+    rewind = rng.bit_generator.state
+    drawn = [(rng.normal(size=8), rng.random(len(ks))) for _ in range(runs)]
+    z, us = map(np.array, zip(*drawn))
+    starts, kept = haar_rows(z)
+    if not kept.all():
+        rng.bit_generator.state = rewind
+        drawn = [(haar_vector(rng), rng.random(len(ks))) for _ in range(runs)]
+        starts, us = map(np.array, zip(*drawn))
+    return measure_runs(starts, np.tile(ks, (runs, 1)), us)[0]
+
+
 # Generator.integers(9) takes a 32-bit half of a PCG64 word, x, and
 # returns (9x) >> 32, unless (9x) mod 2**32 falls below this threshold,
 # when it draws another half instead (Lemire's method).
@@ -265,35 +307,140 @@ def block_runs(length: int) -> int:
     return max(MIN_BLOCK_RUNS, BLOCK_STEPS // max(length, 1))
 
 
-def _sample_block(
-    seeds: list, length: int
-) -> Iterator[tuple[SignedSymbol, ...]]:
-    """Runs of ``length`` steps, one per seed: from a generator on the
-    seed, a Haar start state, then per step a uniform observable and a
-    uniform number, drawn as ``rng.integers(9)`` and ``rng.random()``
-    would draw them.
+# numpy's SeedSequence, after O'Neill's seed_seq_fe, with its default
+# pool of four 32-bit words: the constants of the hash that mixes the
+# entropy into the pool, and of the one that generate_state reads it by
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
-    The steps go in chunks of about BLOCK_STEPS // len(seeds), an even
-    number so that no kept half word crosses a chunk, and each chunk
-    takes one ``random_raw`` call per run; so the draws held at once stay
-    bounded for any length.  A run whose draw Lemire's method would
-    reject is drawn again by the scalar calls, from a fresh generator.
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative integer as SeedSequence reads it: its 32-bit
+    words, least significant first, and one word for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def child_seed_words(seed: int, start: int, count: int) -> np.ndarray:
+    """Row i is ``generate_state(4, np.uint64)`` of child ``start + i``
+    of ``SeedSequence(seed)``, as ``spawn`` makes it: the words from
+    which PCG64 seeds that child's generator.
+
+    A child's entropy is the seed's words, zero-padded to the pool size,
+    then its index as one more word, its spawn key.  Only that word
+    differs between children, so each step of numpy's hash runs once
+    over a column of all the children.  A child index of 2**32 or more
+    is a key of two words; those children are made one at a time, as
+    spawn would make them.
     """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    psi = np.array([haar_vector(rng) for rng in rngs])
+    if seed < 0:
+        raise ValueError("the seed must be non-negative")
+    stop = start + count
+    cut = min(max(start, 2**32), stop)
+    entropy = _uint32_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    columns = [np.full(cut - start, word, np.uint32) for word in entropy]
+    columns.append(np.arange(start, cut, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    pool = [hashmix(column) for column in columns[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for column in columns[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(column))
+    # generate_state(4, np.uint64): eight 32-bit words read cyclically
+    # from the pool, paired low word first
+    hash_const = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        halves.append((value ^ value >> 16).astype(np.uint64))
+    words = np.empty((count, 4), dtype=np.uint64)
+    words[:cut - start] = np.stack(halves[0::2], axis=1) | np.stack(
+        halves[1::2], axis=1
+    ) << 32
+    # numpy's spawn counts its children in 32 bits and loops at 2**32
+    for i in range(cut, stop):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        words[i - start] = child.generate_state(4, np.uint64)
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 words already generated: PCG64
+    asks its seed sequence for ``generate_state(4, np.uint64)`` alone."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (len(self.words), np.uint64):
+            raise ValueError("only the words given can be generated")
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The generator that ``default_rng`` makes from a seed sequence
+    whose ``generate_state(4, np.uint64)`` is ``words``."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def _sample_block(
+    words: np.ndarray, length: int
+) -> Iterator[tuple[SignedSymbol, ...]]:
+    """Runs of ``length`` steps, one per row of seed words: from the
+    generator on the words, a Haar start state, then per step a uniform
+    observable and a uniform number, drawn as ``rng.integers(9)`` and
+    ``rng.random()`` would draw them.
+
+    The start states come from one ``normal(size=8)`` draw per run; a
+    run whose draw :func:`haar_vector` would draw again is drawn by it,
+    from a fresh generator.  The steps go in chunks of about
+    BLOCK_STEPS // len(words), an even number so that no kept half word
+    crosses a chunk, and each chunk takes one ``random_raw`` call per
+    run; so the draws held at once stay bounded for any length.  A run
+    whose draw Lemire's method would reject is drawn again by the scalar
+    calls, from a fresh generator.
+    """
+    rngs = [_generator(row) for row in words]
+    psi, kept = haar_rows(np.array([rng.normal(size=8) for rng in rngs]))
+    for i in np.flatnonzero(~kept).tolist():
+        rngs[i] = rng = _generator(words[i])
+        psi[i] = haar_vector(rng)
     ks = np.empty((len(rngs), length), dtype=np.uint8)
     plus = np.empty((len(rngs), length), dtype=bool)
     chunk = max(2, BLOCK_STEPS // len(rngs) & ~1)
     scalar = {}  # run -> generator that redraws it by scalar calls
     for t0 in range(0, length, chunk):
         steps = min(chunk, length - t0)
-        words = np.array(
+        raw = np.array(
             [rng.bit_generator.random_raw(3 * -(-steps // 2)) for rng in rngs]
         )
-        k, us, rejected = _decode(words, steps)
+        k, us, rejected = _decode(raw, steps)
         for i in np.flatnonzero(rejected).tolist():
             if i not in scalar:
-                scalar[i] = rng = np.random.default_rng(seeds[i])
+                scalar[i] = rng = _generator(words[i])
                 haar_vector(rng)
                 for _ in range(0, t0, chunk):
                     _scalar_steps(rng, chunk)
@@ -308,18 +455,24 @@ def _sample_block(
 
 
 def sample_run(length: int, seed: int) -> tuple[SignedSymbol, ...]:
-    """One reproducible measurement sequence from a fresh random state."""
+    """One reproducible measurement sequence from a fresh random state,
+    drawn by ``default_rng(seed)``."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    return next(_sample_block([seed], length))
+    words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    return next(_sample_block(words[None], length))
 
 
 def sample_many(
     runs: int, length: int, seed: int
 ) -> Iterator[tuple[SignedSymbol, ...]]:
-    """Independent reproducible runs via spawned per-run rng streams,
-    measured a block at a time."""
-    root = np.random.SeedSequence(seed)
+    """Independent reproducible runs, run i drawn by the generator on
+    child i of ``SeedSequence(seed)``, measured a block at a time.  The
+    children's seed words are computed for about BLOCK_STEPS runs at a
+    time."""
     block = block_runs(length)
-    for done in range(0, runs, block):
-        yield from _sample_block(root.spawn(min(block, runs - done)), length)
+    span = block * max(1, BLOCK_STEPS // block)
+    for first in range(0, runs, span):
+        words = child_seed_words(seed, first, min(span, runs - first))
+        for i in range(0, len(words), block):
+            yield from _sample_block(words[i:i + block], length)

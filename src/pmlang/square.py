@@ -198,13 +198,12 @@ def parse_token(text: str) -> SignedSymbol:
 
 def parse_string(text: str) -> tuple[SignedSymbol, ...]:
     """Parse a whitespace-separated token string; empty input is the empty word."""
-    out = []
-    for i, tok in enumerate(text.split()):
-        try:
-            out.append(parse_token(tok))
-        except ValueError:
-            raise TokenError(f"token {i + 1}: unrecognized token {tok!r}", i)
-    return tuple(out)
+    tokens = text.split()
+    try:
+        return tuple(map(_BY_TOKEN.__getitem__, tokens))
+    except KeyError:
+        i, tok = next((i, t) for i, t in enumerate(tokens) if t not in _BY_TOKEN)
+        raise TokenError(f"token {i + 1}: unrecognized token {tok!r}", i) from None
 
 
 def format_string(symbols: tuple[SignedSymbol, ...] | list[SignedSymbol]) -> str:

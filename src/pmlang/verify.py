@@ -683,22 +683,13 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
         f"{determined_checked} determined predictions, {determined_wrong} wrong",
     )
 
-    def measured(rng, ks, runs):
-        """The outcomes of measuring the observables ``ks`` in turn on
-        ``runs`` fresh Haar states, each state drawn before its run's
-        uniforms.  No draw depends on a state, so the runs are measured
-        together."""
-        drawn = [(quantum.haar_vector(rng), rng.random(len(ks))) for _ in range(runs)]
-        starts, us = map(np.array, zip(*drawn))
-        return quantum.measure_runs(starts, np.tile(ks, (runs, 1)), us)[0]
-
     # each trial draws a fresh state and then measures one observable
     seqs = np.random.SeedSequence(cfg.seed + 4).spawn(len(OBSERVABLES))
     freq_ok = True
     details = []
     for obs, seq in zip(OBSERVABLES, seqs):
         rng = np.random.default_rng(seq)
-        plus = int(measured(rng, [obs.index], QUANTUM_TRIALS).sum())
+        plus = int(quantum.measure_fresh(rng, [obs.index], QUANTUM_TRIALS).sum())
         freq = plus / QUANTUM_TRIALS
         if not (0.4 <= freq <= 0.6):
             freq_ok = False
@@ -713,7 +704,7 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     rng = np.random.default_rng(cfg.seed + 5)
     law_ok = True
     for ctx in CONTEXTS:
-        outcomes = measured(rng, [obs.index for obs in ctx.members], 200)
+        outcomes = quantum.measure_fresh(rng, [obs.index for obs in ctx.members], 200)
         products = np.where(outcomes, 1, -1).prod(axis=1)
         law_ok &= bool((products == ctx.sign).all())
     result.add(

@@ -13,6 +13,8 @@ from pmlang import grammar as gr
 from pmlang import semantics as sem
 from pmlang import square as sq
 
+from nfa_walk import walked
+
 
 def language_dfa():
     return au.determinize(gr.to_nfa())
@@ -37,8 +39,9 @@ def test_determinize_trivial_universal_nfa():
 
 
 def reference_determinize(nfa):
-    """The subset construction over frozensets through ``Nfa.step``, in
+    """The subset construction over frozensets by ``WalkedNfa.step``, in
     the same discovery order: its delta, accepting ids and dead id."""
+    nfa = walked(nfa)
     rows = {}
 
     def successors(subset):
@@ -83,7 +86,7 @@ def test_determinize_preserves_the_language():
     dfa = language_dfa()
     assert dfa.accepts(sq.parse_string("A B c ~gamma"))
     assert not dfa.accepts(sq.parse_string("A B c gamma"))
-    nfa = gr.to_nfa()
+    nfa = walked(gr.to_nfa())
 
     def successors(node):
         nset, q = node

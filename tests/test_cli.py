@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from pmlang import automata, cli, maga, quantum, verify
 from pmlang import semantics as sem
-from pmlang.square import ALPHABET, parse_string
+from pmlang.square import ALPHABET, OBSERVABLES, parse_string, signed
 
 CONSISTENT_TRACE = """\
 step  token   observable  value  determined after step
@@ -409,6 +409,30 @@ def test_sample_output_is_pinned():
     )
 
 
+def test_a_five_word_seed_samples_what_default_rng_draws():
+    """2**128 + 1 is a seed of five 32-bit words, so no zeros pad it
+    before a child's spawn key.  Each line is the run that default_rng on
+    that child draws: a Haar state from two normal(size=4) draws, then
+    integers(9) and random() per step."""
+    seed = "340282366920938463463374607431768211457"
+    assert int(seed) == 2**128 + 1
+    code, text = invoke(["sample", "--length", "6", "--runs", "20", "--seed", seed])
+    assert code == 0
+    table = quantum.standard_square()
+    expected = []
+    for child in np.random.SeedSequence(int(seed)).spawn(20):
+        rng = np.random.default_rng(child)
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = quantum.QState(vec / np.linalg.norm(vec))
+        tokens = []
+        for _ in range(6):
+            obs = OBSERVABLES[rng.integers(9)]
+            value, state = quantum.measure(state, table[obs], rng)
+            tokens.append(signed(obs, value).token)
+        expected.append(" ".join(tokens))
+    assert text.splitlines() == expected
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -417,7 +441,7 @@ def test_sample_output_is_pinned():
             "8ad2baa32515cc753925fe845f970cdfbfdfbd71cd215e9ab9b070106bce9758",
         ),
         (
-            # three runs in a block: chunks of 1024 // 3 steps, an odd number
+            # three long runs in one block
             ["sample", "--length", "1000", "--runs", "3", "--seed", "7"],
             "bb342b0bb6986c34526fec2691670c7ba2d54b25f459873a0379f7d856ca5608",
         ),

@@ -20,6 +20,8 @@ from pmlang import semantics as sem
 from pmlang import square as sq
 from pmlang import verify
 
+from nfa_walk import walked
+
 
 def test_schema_counts_match_independent_enumeration():
     """Re-derive every schema count from raw grid coordinates only."""
@@ -148,7 +150,7 @@ def test_single_token_derivations():
 
 
 def test_nfa_shape():
-    nfa = gr.to_nfa()
+    nfa = walked(gr.to_nfa())
     g = gr.build_grammar()
     assert len(nfa.states) == len(g.symbols) + 1
     assert nfa.accepts(sq.parse_string("A"))
@@ -162,14 +164,14 @@ def test_only_the_empty_word_rule_accepts_the_empty_string():
     pruned = gr.Grammar(
         g.symbols, tuple(r for r in g.rules if r.schema != "empty-word")
     )
-    nfa = gr.to_nfa(pruned)
-    assert gr.to_nfa().accepts(())
+    nfa = walked(gr.to_nfa(pruned))
+    assert walked(gr.to_nfa()).accepts(())
     assert not nfa.accepts(())
     assert nfa.accepts(sq.parse_string("A B c ~gamma"))
 
 
 def test_grammar_matches_oracle_up_to_length_three():
-    nfa = gr.to_nfa()
+    nfa = walked(gr.to_nfa())
     for n in range(4):
         for combo in itertools.product(sq.ALPHABET, repeat=n):
             assert nfa.accepts(combo) == sem.is_consistent(combo), combo
@@ -185,7 +187,7 @@ def test_branch_through_prior_symbol_is_required():
         g.symbols,
         tuple(r for r in g.rules if r.schema != "pair-branch-prior"),
     )
-    nfa = gr.to_nfa(pruned)
+    nfa = walked(gr.to_nfa(pruned))
     w = sq.parse_string("A B a")
     assert sem.is_consistent(w)
     assert not nfa.accepts(w)
@@ -210,7 +212,7 @@ def test_each_grammar_searches_its_own_rules():
 def test_pair_symbols_mark_exactly_the_context_determining_promises():
     """A reachable generating symbol is a pair exactly when consuming
     its promised symbol leaves a full context determined."""
-    nfa = gr.to_nfa()
+    nfa = walked(gr.to_nfa())
     for n in range(3):
         for combo in itertools.product(sq.ALPHABET, repeat=n):
             reached = nfa.run(combo)

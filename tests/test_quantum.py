@@ -270,11 +270,11 @@ def test_decoder_flags_each_half_that_lemire_rejects():
 
 
 def test_long_runs_in_odd_blocks_equal_chained_measure():
-    """3 runs of 1000 steps take chunks of 1024 // 3 = 341 steps, cut down
-    to 340 so that no kept half word crosses a chunk."""
+    """3 runs of 4000 steps take chunks of 4096 // 3 = 1365 steps, cut
+    down to 1364 so that no kept half word crosses a chunk."""
     seqs = np.random.SeedSequence(7).spawn(3)
-    reference = [_chained_measure(np.random.default_rng(seq), 1000) for seq in seqs]
-    assert list(qu.sample_many(3, 1000, 7)) == reference
+    reference = [_chained_measure(np.random.default_rng(seq), 4000) for seq in seqs]
+    assert list(qu.sample_many(3, 4000, 7)) == reference
 
 
 def test_rejected_runs_are_redrawn_by_scalar_calls(monkeypatch):
@@ -282,7 +282,7 @@ def test_rejected_runs_are_redrawn_by_scalar_calls(monkeypatch):
     from its first chunk; with one run flagged in its second chunk only,
     it skips the steps already measured.  Both equal chained measure."""
     monkeypatch.setattr(qu, "_REJECT_BELOW", 2**32)
-    for length, runs in [(1, 3), (12, 90), (1000, 3)]:
+    for length, runs in [(1, 3), (12, 90), (4000, 3)]:
         seqs = np.random.SeedSequence(length).spawn(runs)
         reference = [
             _chained_measure(np.random.default_rng(seq), length) for seq in seqs
@@ -300,9 +300,95 @@ def test_rejected_runs_are_redrawn_by_scalar_calls(monkeypatch):
 
     monkeypatch.setattr(qu, "_decode", flag_run_one_in_chunk_two)
     seqs = np.random.SeedSequence(11).spawn(3)
-    reference = [_chained_measure(np.random.default_rng(seq), 1000) for seq in seqs]
-    assert list(qu.sample_many(3, 1000, 11)) == reference
-    assert calls == [340, 340, 320]
+    reference = [_chained_measure(np.random.default_rng(seq), 4000) for seq in seqs]
+    assert list(qu.sample_many(3, 4000, 11)) == reference
+    assert calls == [1364, 1364, 1272]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
+def test_child_seed_words_equal_numpy_spawn(seed):
+    """Children of a seed of one, two, three and five entropy words; the
+    last is not padded before its spawn key.  The words are equal from
+    any first child, the span the sampler computes at once included."""
+    span = qu.BLOCK_STEPS
+    children = np.random.SeedSequence(seed).spawn(span + 3)
+    expected = np.array([c.generate_state(4, np.uint64) for c in children])
+    assert (qu.child_seed_words(seed, 0, span) == expected[:span]).all()
+    assert (qu.child_seed_words(seed, span - 2, 5) == expected[span - 2:]).all()
+    assert qu.child_seed_words(seed, 5, 0).shape == (0, 4)
+
+
+def test_child_indexes_past_two_to_the_32_take_a_two_word_key():
+    """Children 2**32 - 2 and 2**32 - 1 have one-word keys, the next two
+    two-word keys; each row is what spawn's child of that index gives."""
+    first = 2**32 - 2
+    for seed in (0, 2**128 + 1):
+        expected = [
+            np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+            for i in range(first, first + 4)
+        ]
+        assert (qu.child_seed_words(seed, first, 4) == expected).all()
+
+
+def test_child_seed_words_refuse_a_negative_seed():
+    with pytest.raises(ValueError):
+        qu.child_seed_words(-1, 0, 3)
+    with pytest.raises(ValueError):
+        next(qu.sample_many(1, 3, -1))
+
+
+def test_runs_across_a_span_of_seed_words_equal_chained_measure():
+    """One-step runs make blocks of BLOCK_STEPS runs, and each span of
+    seed words holds one block; the run after it starts the next span."""
+    runs = qu.block_runs(1) + 2
+    seqs = np.random.SeedSequence(5).spawn(runs)
+    reference = [_chained_measure(np.random.default_rng(seq), 1) for seq in seqs]
+    assert list(qu.sample_many(runs, 1, 5)) == reference
+
+
+def test_haar_rows_equal_haar_vector():
+    """Stacked draws give, byte for byte, the vectors that haar_vector
+    draws one at a time and the vectors that np.linalg.norm normalises."""
+    draws = 10_000
+    z = np.array([np.random.default_rng(seed).normal(size=8) for seed in range(draws)])
+    rows, kept = qu.haar_rows(z)
+    assert kept.all()
+    for seed, row, draw in zip(range(draws), rows, z):
+        assert row.tobytes() == qu.haar_vector(np.random.default_rng(seed)).tobytes()
+        vec = draw[:4] + 1j * draw[4:]
+        assert row.tobytes() == (vec / np.linalg.norm(vec)).tobytes()
+
+
+def test_a_short_norm_is_drawn_again(monkeypatch):
+    """With the least norm raised to 2.5, about two in five Gaussian
+    draws are drawn again; the sampler replays those runs' generators,
+    so that it still equals haar_vector drawing each state in turn."""
+    monkeypatch.setattr(qu, "_MIN_NORM", 2.5)
+    _, kept = qu.haar_rows(np.random.default_rng(3).normal(size=(90, 8)))
+    assert 10 < (~kept).sum() < 60
+    seqs = np.random.SeedSequence(12).spawn(90)
+    reference = [_chained_measure(np.random.default_rng(seq), 12) for seq in seqs]
+    assert list(qu.sample_many(90, 12, 12)) == reference
+
+
+def _measured_one_by_one(rng, ks, runs):
+    """measure_fresh's reference: per run, haar_vector, then the run's
+    uniforms."""
+    drawn = [(qu.haar_vector(rng), rng.random(len(ks))) for _ in range(runs)]
+    starts, us = map(np.array, zip(*drawn))
+    return qu.measure_runs(starts, np.tile(ks, (runs, 1)), us)[0]
+
+
+@pytest.mark.parametrize("min_norm", [qu._MIN_NORM, 2.5])
+def test_measure_fresh_equals_drawing_each_state_in_turn(monkeypatch, min_norm):
+    """Equal outcomes and generator states after each call; at a least
+    norm of 2.5 some draw is drawn again, so measure_fresh rewinds."""
+    monkeypatch.setattr(qu, "_MIN_NORM", min_norm)
+    ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+    for ks, runs in [([2, 5], 300), ([0, 4, 8], 200)]:
+        expected = _measured_one_by_one(theirs, ks, runs)
+        assert (qu.measure_fresh(ours, ks, runs) == expected).all()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_qstate_rejects_unnormalized_vectors():
