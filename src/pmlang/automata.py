@@ -155,20 +155,6 @@ class CountReport:
     dominant_rate_estimate: float | None
     recurrence: tuple[int, ...]  # a_1..a_L: c_n = sum a_i c_{n-i} for n >= L
 
-    @property
-    def max_length(self) -> int:
-        return len(self.counts) - 1
-
-    @property
-    def growth_ratios(self) -> tuple[Fraction, ...]:
-        """Exact consecutive-count ratios over the back half of the range."""
-        c = self.counts
-        return tuple(
-            Fraction(c[n + 1], c[n])
-            for n in range(self.max_length // 2, self.max_length)
-            if c[n] > 0
-        )
-
 
 def _dp_counts(dfa: Dfa, n_max: int) -> list[int]:
     """Accepted words of each length 0..n_max, by dynamic programming

@@ -21,7 +21,7 @@ that clash on re-measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
@@ -38,13 +38,16 @@ from .square import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratingSymbol:
-    """Start symbol, single promise, or pair of (prior, promised) symbols."""
+    """Start symbol, single promise, or pair of (prior, promised) symbols.
+
+    Interned: ``START``, ``single()`` and ``pair()`` make the only
+    instances, so symbols compare and hash by identity.
+    """
 
     prior: SignedSymbol | None
     promised: SignedSymbol | None
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.prior is not None:
@@ -52,11 +55,6 @@ class GeneratingSymbol:
                 raise ValueError("a pair symbol needs a promised symbol")
             if self.prior is self.promised or not compatible(self.prior, self.promised):
                 raise ValueError("pair symbols pair distinct compatible symbols")
-        # the value the generated hash would give, computed once
-        object.__setattr__(self, "_hash", hash((self.prior, self.promised)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def is_start(self) -> bool:
@@ -85,7 +83,6 @@ class GeneratingSymbol:
 START = GeneratingSymbol(None, None)
 
 
-# Interned, so the rules share one object per symbol.
 @lru_cache(maxsize=None)
 def single(x: SignedSymbol) -> GeneratingSymbol:
     return GeneratingSymbol(None, x)

@@ -18,7 +18,7 @@ information density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Any, Callable, Hashable, Iterable, Iterator
@@ -49,24 +49,18 @@ class RecognizerContractError(ValueError):
     string, so it does not recognize the measurement language."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassTriple:
-    """A determined context plus the values of its first two members."""
+    """A determined context plus the values of its first two members.
+
+    Interned: ``all_class_triples()`` makes the 24 classes, and every
+    triple the module hands out is one of them, so classes compare and
+    hash by identity.  A triple built elsewhere is none of the 24.
+    """
 
     context: Context
     first_value: int
     second_value: int
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        # the value the generated hash would give, computed once: the
-        # pigeonhole check keys a dict by triples for every machine
-        object.__setattr__(
-            self, "_hash", hash((self.context, self.first_value, self.second_value))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def third_value(self) -> int:
@@ -108,13 +102,18 @@ def classify(w: str | Iterable[SignedSymbol]) -> ClassTriple:
     return triple
 
 
+@lru_cache(maxsize=None)
 def class_of(state: semantics.DeterminationState) -> ClassTriple | None:
     """The class of an oracle state, or None when it holds no full context."""
     found = semantics.determined_context(state)
     if found is None:
         return None
-    ctx, vals = found
-    return ClassTriple(ctx, vals[0], vals[1])
+    ctx, (v1, v2, _) = found
+    return next(
+        t
+        for t in all_class_triples()
+        if t.context is ctx and t.first_value == v1 and t.second_value == v2
+    )
 
 
 @lru_cache(maxsize=None)
@@ -181,18 +180,6 @@ def verify_disagreement_claim() -> DisagreementReport:
     return DisagreementReport(tuple(witnesses), tuple(missing))
 
 
-@lru_cache(maxsize=None)
-def _representative_classes() -> dict[String, ClassTriple]:
-    return {rep: classify(rep) for rep in representatives()}
-
-
-def _class_of_history(w: String) -> ClassTriple:
-    """``classify(w)``, looked up for the 24 representatives: the
-    pigeonhole check asks for them again for every machine."""
-    found = _representative_classes().get(w)
-    return classify(w) if found is None else found
-
-
 @dataclass
 class MagaSpec:
     """A memory-factoring predictor.
@@ -250,7 +237,7 @@ def reference_maga_plus() -> MagaSpec:
     """
 
     def m0(w: String, s: Observable):
-        return _class_of_history(w), s
+        return classify(w), s
 
     return MagaSpec(tuple(all_class_triples()), m0, class_answer)
 
@@ -259,11 +246,11 @@ def merged_reference_maga(keep: int, merge: int) -> MagaSpec:
     """The reference machine with class ``merge`` collapsed onto class
     ``keep``: a deliberately broken 23-state machine for refutation."""
     triples = all_class_triples()
-    kept = tuple(t for t in triples if t != triples[merge])
+    kept = tuple(t for t in triples if t is not triples[merge])
 
     def m0(w: String, s: Observable):
-        t = _class_of_history(w)
-        if t == triples[merge]:
+        t = classify(w)
+        if t is triples[merge]:
             t = triples[keep]
         return t, s
 

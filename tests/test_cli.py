@@ -580,6 +580,33 @@ def test_verify_reports_an_inconsistent_sampled_run(monkeypatch):
     assert "(1 determined predictions, 1 wrong)" in text
 
 
+def test_verify_reports_a_refused_state_in_the_chain_as_a_failed_line(
+    monkeypatch, capsys
+):
+    """A measurement whose state drifts off the unit sphere makes QState
+    refuse it; the normalization line fails instead of the run crashing."""
+    real = quantum.measure
+    calls = 0
+
+    def drifting(state, pauli, rng):
+        nonlocal calls
+        calls += 1
+        value, after = real(state, pauli, rng)
+        if calls == 500:
+            after = quantum.QState(after.amplitudes * (1 + 1e-9))
+        return value, after
+
+    monkeypatch.setattr(quantum, "measure", drifting)
+    code, text = invoke("verify --suite quantum --seed 1 --quantum-runs 10".split())
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert (
+        "FAIL normalization is preserved across 1000 chained measurements "
+        "(step 500: state vector must be normalized)\n"
+    ) in text
+    assert "[summary] 5/6 checks passed" in text
+
+
 def test_verify_fast_suites_pass():
     code, text = invoke(["verify", "--suite", "parity", "--seed", "1"])
     assert code == 0

@@ -107,6 +107,27 @@ def test_start_rules():
     assert singles == {gr.single(x) for x in sq.ALPHABET}
 
 
+def test_every_symbol_of_the_grammar_is_the_interned_one():
+    """Symbols compare by identity, so the grammar may hold only the
+    objects that START, single() and pair() return."""
+    g = gr.build_grammar()
+
+    def interned(sym):
+        if sym.is_start:
+            return gr.START
+        if sym.is_single:
+            return gr.single(sym.promised)
+        return gr.pair(sym.prior, sym.promised)
+
+    for sym in g.symbols:
+        assert sym is interned(sym)
+    for rule in g.rules:
+        assert rule.lhs is interned(rule.lhs)
+        assert rule.rhs is None or rule.rhs is interned(rule.rhs)
+    x = sq.signed("A", 1)
+    assert gr.GeneratingSymbol(None, x) != gr.single(x)  # a twin is another symbol
+
+
 def test_contains_the_reference_rule_instance():
     g = gr.build_grammar()
     lhs = gr.pair(sq.signed("C", 1), sq.signed("c", 1))

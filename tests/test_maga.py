@@ -28,6 +28,23 @@ def test_twenty_four_classes():
         assert prod == t.context.sign
 
 
+def test_every_class_handed_out_is_one_of_the_interned_triples():
+    """Classes compare by identity, so classify() and class_of() may
+    return only the objects of all_class_triples()."""
+    triples = maga.all_class_triples()
+    for rep, t in zip(maga.representatives(), triples):
+        assert maga.classify(rep) is t
+    seen = set()
+    for s in sem.reachable_states():
+        t = maga.class_of(s)
+        assert t is None or t in triples  # by identity
+        assert maga.class_of(sem.DeterminationState(s.values)) is t
+        seen.add(t)
+    assert seen - {None} == set(triples)
+    t = triples[0]
+    assert maga.ClassTriple(t.context, t.first_value, t.second_value) != t
+
+
 def test_classify_examples():
     t = maga.classify("A B")
     assert t.context.name == "row0" and (t.first_value, t.second_value) == (1, 1)
