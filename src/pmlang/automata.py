@@ -204,7 +204,7 @@ def _berlekamp_massey(terms: list[int]) -> tuple[int, ...]:
     return tuple(int(c) for c in coeffs)
 
 
-def count_words(dfa: Dfa, n_max: int) -> CountReport:
+def count_words(dfa: Dfa, n_max: int, ceiling: int | None = None) -> CountReport:
     """Count accepted words of each length 0..n_max exactly.
 
     The counts of a language accepted by an N-state DFA satisfy a linear
@@ -212,18 +212,26 @@ def count_words(dfa: Dfa, n_max: int) -> CountReport:
     runs for 2N terms only, Berlekamp-Massey derives the recurrence from
     them, and the recurrence extends the counts, exactly, to any length.
     The dominant growth-rate estimate is the final count ratio.
+
+    With ``ceiling``, the report stops at the first length whose running
+    total reaches it: the totals only grow, so no later count is needed
+    to know that the table up to ``n_max`` holds a total that large.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    counts = _dp_counts(dfa, 2 * dfa.num_states - 1)
-    recurrence = _berlekamp_massey(counts)
+    terms = _dp_counts(dfa, 2 * dfa.num_states - 1)
+    recurrence = _berlekamp_massey(terms)
     taps = [(i, a) for i, a in enumerate(recurrence, 1) if a]
+    counts = terms[: n_max + 1]
+    cumulative = list(accumulate(counts))
     for n in range(len(counts), n_max + 1):
+        if ceiling is not None and cumulative[-1] >= ceiling:
+            break
         counts.append(sum(a * counts[n - i] for i, a in taps))
-    del counts[n_max + 1 :]
+        cumulative.append(cumulative[-1] + counts[-1])
     # int / int is correctly rounded, as float(Fraction(...)) is
     rate = counts[-1] / counts[-2] if n_max else None
-    return CountReport(tuple(counts), tuple(accumulate(counts)), rate, recurrence)
+    return CountReport(tuple(counts), tuple(cumulative), rate, recurrence)
 
 
 def decimal_rows(report: CountReport) -> Iterator[tuple[str, str]]:

@@ -40,9 +40,12 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(_table_lines(headers, rows))
 
 
-def _emit_rows(headers, rows, fmt, out, extra: dict | None = None):
+def _emit_rows(headers, rows, fmt, out, extra: dict | None = None, widths=None):
+    """``rows`` in ``fmt``; a table with ``widths``, as ``_table_lines``
+    takes them, is written a row at a time."""
     if fmt == "table":
-        print(_render_table(headers, [[str(c) for c in r] for r in rows]), file=out)
+        for line in _table_lines(headers, ([str(c) for c in r] for r in rows), widths):
+            print(line, file=out)
         if extra:
             for key, value in extra.items():
                 print(f"{key}: {value}", file=out)
@@ -203,19 +206,30 @@ def _printable(value: int, what: str) -> bool:
 
 
 def cmd_count(args, out) -> int:
-    report = automata.count_words(verify.minimal_dfa(), args.max_length)
+    limit = sys.get_int_max_str_digits()  # 0 lifts it
+    # the counts stop at the first total of more than ``limit`` digits,
+    # which already decides the refusal
+    report = automata.count_words(
+        verify.minimal_dfa(), args.max_length, 10**limit if limit else None
+    )
     largest = report.cumulative[-1]  # the largest value in any row
     if not _printable(largest, f"counts at --max-length {args.max_length}"):
         return 2
     headers = ["n", "count", "cumulative", "bits"]
+    bits = automata.hv_bits(report)
     rows = (  # digit strings in linear time per value
-        [n, count, total, bits]
-        for n, ((count, total), bits) in enumerate(
-            zip(automata.decimal_rows(report), automata.hv_bits(report))
+        [n, count, total, b]
+        for n, ((count, total), b) in enumerate(
+            zip(automata.decimal_rows(report), bits)
         )
     )
+    widths = None
+    if args.format == "table":  # every column grows with n: the last row is widest
+        last = (args.max_length, report.counts[-1], largest, bits[-1])
+        widths = [len(str(cell)) for cell in last]
     extra = {"dominant_rate_estimate": report.dominant_rate_estimate}
-    _emit_rows(headers, rows, args.format, out, extra if args.format != "csv" else None)
+    extra = None if args.format == "csv" else extra
+    _emit_rows(headers, rows, args.format, out, extra, widths)
     return 0
 
 
@@ -297,8 +311,9 @@ def cmd_verify(args, out) -> int:
     names = [f.name for f in dataclasses.fields(verify.VerifyConfig)]
     try:
         cfg = verify.VerifyConfig(**{name: getattr(args, name) for name in names})
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except ValueError as err:  # its message begins with the field's name
+        name, reason = str(err).split(" ", 1)
+        print(f"error: --{name.replace('_', '-')} {reason}", file=sys.stderr)
         return 2
     results = verify.run_suites([args.suite], cfg)
     failed = 0

@@ -20,8 +20,8 @@ quantum cross-check) is measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .square import (
@@ -36,38 +36,12 @@ from .square import (
 
 Node = TypeVar("Node", bound=Hashable)
 
-# Per-observable geometry, indexed by Observable.index.
-_COMPATIBLE_IDX: tuple[frozenset[int], ...] = tuple(
-    frozenset(
-        o.index
-        for o in OBSERVABLES
-        if o is not me and (o.row == me.row or o.col == me.col)
-    )
-    for me in OBSERVABLES
-)
-_CONTEXTS_IDX: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...] = tuple(
-    tuple(
-        (tuple(m.index for m in ctx.members), ctx.sign)
-        for ctx in CONTEXTS
-        if me in ctx.members
-    )
-    for me in OBSERVABLES
-)
-
 
 @dataclass(frozen=True)
 class DeterminationState:
     """Immutable snapshot of the determined map; 0 marks undetermined."""
 
     values: tuple[int, ...]
-    # describe()'s text, built once: states are interned and reported often
-    _text: str = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        text = " ".join(
-            f"{o.name}={v:+d}" for o, v in zip(OBSERVABLES, self.values) if v
-        )
-        object.__setattr__(self, "_text", text or "(none)")
 
     def value_of(self, obs: Observable) -> int | None:
         v = self.values[obs.index]
@@ -80,6 +54,14 @@ class DeterminationState:
     @property
     def is_empty(self) -> bool:
         return not any(self.values)
+
+    @cached_property
+    def _text(self) -> str:
+        # built once: states are interned and reported often
+        text = " ".join(
+            f"{o.name}={v:+d}" for o, v in zip(OBSERVABLES, self.values) if v
+        )
+        return text or "(none)"
 
     def describe(self) -> str:
         return self._text
@@ -104,36 +86,26 @@ EMPTY_STATE = _state((0,) * 9)
 def step(
     state: DeterminationState, measurement: SignedSymbol
 ) -> DeterminationState | None:
-    """Apply one measurement to a state.
-
-    A clash (the measured observable already holds the opposite value)
-    is reported as None, not as an exception.  Otherwise incompatible
-    observables are dropped, the measurement is recorded, and at most
-    one context completion fires; with the determined set never larger
-    than one context, a single completion pass is always enough.
-    """
-    idx = measurement.obs.index
-    val = measurement.value
-    cur = state.values[idx]
-    if cur and cur != val:
+    """Apply one measurement to a state by the three rules of the module
+    docstring; a clash is reported as None, not as an exception."""
+    me, value = measurement.obs, measurement.value
+    if state.values[me.index] == -value:
         return None
-    new = list(state.values)
-    compat = _COMPATIBLE_IDX[idx]
-    for j in range(9):
-        if new[j] and j != idx and j not in compat:
-            new[j] = 0
-    new[idx] = val
-    for members, sign in _CONTEXTS_IDX[idx]:
-        a, b, c = members
-        va, vb, vc = new[a], new[b], new[c]
-        missing = (va == 0) + (vb == 0) + (vc == 0)
-        if missing == 1:
-            if va == 0:
-                new[a] = sign * vb * vc
-            elif vb == 0:
-                new[b] = sign * va * vc
-            else:
-                new[c] = sign * va * vb
+    # disturbance: only the measured observable's row and column keep values
+    new = [
+        v if o.row == me.row or o.col == me.col else 0
+        for o, v in zip(OBSERVABLES, state.values)
+    ]
+    new[me.index] = value
+    # completion: only the measured observable's row and column can now
+    # hold two values, and completing one adds no second value to any
+    # other context, so one pass is enough
+    for ctx in CONTEXTS:
+        a, b, c = ctx.members
+        held = [new[a.index], new[b.index], new[c.index]]
+        if held.count(0) == 1:
+            open_member = ctx.members[held.index(0)]
+            new[open_member.index] = ctx.sign * math.prod(filter(None, held))
     return _state(tuple(new))
 
 
@@ -159,11 +131,10 @@ def reachable(
 # whose row loops to itself, so a fold needs no branch.
 
 
-def _rule_successors(state: DeterminationState) -> list[DeterminationState]:
-    return [r for sym in ALPHABET if (r := step(state, sym)) is not None]
-
-
-_BY_ID: tuple[DeterminationState, ...] = reachable(_rule_successors, EMPTY_STATE)
+_BY_ID: tuple[DeterminationState, ...] = reachable(
+    lambda st: [r for sym in ALPHABET if (r := step(st, sym)) is not None],
+    EMPTY_STATE,
+)
 _ID: dict[DeterminationState, int] = {st: q for q, st in enumerate(_BY_ID)}
 CLASH = len(_BY_ID)
 DELTA: tuple[tuple[int, ...], ...] = tuple(

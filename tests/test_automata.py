@@ -274,6 +274,15 @@ def test_decimal_rows_are_str_of_the_counts_up_to_the_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_counts_stop_at_the_first_total_that_reaches_the_ceiling():
+    m = minimal_dfa()
+    full = au.count_words(m, 400)
+    first = next(n for n, total in enumerate(full.cumulative) if total >= 10**200)
+    stopped = au.count_words(m, 400, ceiling=10**200)
+    assert stopped == au.count_words(m, first)
+    assert au.count_words(m, 400, ceiling=full.cumulative[-1] + 1) == full
+
+
 def test_decimal_rows_shorter_than_the_recurrence():
     m = minimal_dfa()
     for n in range(4):

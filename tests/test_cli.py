@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -166,6 +167,19 @@ def test_count_json():
     payload = json.loads(text)
     assert payload["rows"][2] == {"n": 2, "count": 306, "cumulative": 325, "bits": 9}
     assert "dominant_rate_estimate" in payload
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 88, 1000])
+def test_count_table_is_padded_to_its_widest_cells(n):
+    """The table is written a row at a time with widths from its last row,
+    and equals the table padded over every row."""
+    report = automata.count_words(verify.minimal_dfa(), n)
+    cells = zip(report.counts, report.cumulative, automata.hv_bits(report))
+    rows = [[str(i), *map(str, row)] for i, row in enumerate(cells)]
+    table = ljust_table(["n", "count", "cumulative", "bits"], rows)
+    code, text = invoke(["count", "--max-length", str(n)])
+    assert code == 0
+    assert text == f"{table}\ndominant_rate_estimate: {report.dominant_rate_estimate}\n"
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 88, 89, 1000, 3000])
@@ -666,29 +680,35 @@ def test_verify_with_reduced_depths():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["--suite", "grammar", "--exhaustive-len", "-1"],
-        ["--suite", "invariants", "--invariant-len", "-1"],
-        ["--suite", "maga", "--maga-len", "-1"],
-        ["--suite", "grammar", "--random-strings", "-1"],
-        ["--suite", "bounds", "--invariant-len", "7"],
-        ["--suite", "quantum", "--quantum-runs", "-1"],
-        ["--suite", "quantum", "--seed", "-5"],
-        ["--suite", "all", "--exhaustive-len", "7", "--maga-len", "-1"],
-        ["--suite", "grammar", "--exhaustive-len", "7"],
-        ["--suite", "invariants", "--invariant-len", "7"],
-        ["--suite", "maga", "--maga-len", "7"],
-        ["--suite", "invariants", "--invariant-len", "3700", "--random-strings", "10"],
+        (["--suite", "grammar", "--exhaustive-len", "-1"], "--exhaustive-len"),
+        (["--suite", "invariants", "--invariant-len", "-1"], "--invariant-len"),
+        (["--suite", "maga", "--maga-len", "-1"], "--maga-len"),
+        (["--suite", "grammar", "--random-strings", "-1"], "--random-strings"),
+        (["--suite", "bounds", "--invariant-len", "7"], "--invariant-len"),
+        (["--suite", "quantum", "--quantum-runs", "-1"], "--quantum-runs"),
+        (["--suite", "quantum", "--seed", "-5"], "--seed"),
+        (["--suite", "all", "--exhaustive-len", "7", "--maga-len", "-1"], "--maga-len"),
+        (["--suite", "grammar", "--exhaustive-len", "7"], "--exhaustive-len"),
+        (["--suite", "invariants", "--invariant-len", "7"], "--invariant-len"),
+        (["--suite", "maga", "--maga-len", "7"], "--maga-len"),
+        (
+            ["--suite", "invariants", "--invariant-len", "3700", "--random-strings", "10"],
+            "--invariant-len",
+        ),
     ],
+    ids=[f"argv{i}" for i in range(12)],
 )
-def test_verify_rejects_out_of_range_settings(argv, capsys):
+def test_verify_rejects_out_of_range_settings(argv, flag, capsys):
+    """The one refusal line names the flag as typed, not the config field."""
     code, text = invoke(["verify", "--seed", "1", *argv])
     err = capsys.readouterr().err
     assert code == 2
     assert text == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {flag} must be ")
 
 
 @pytest.mark.parametrize(
@@ -738,6 +758,32 @@ def test_count_refusal_names_the_digit_limit(capsys):
         assert code == 2
         assert "sys.get_int_max_str_digits()" in err
         assert "PYTHONINTMAXSTRDIGITS" in err
+
+
+def test_count_refuses_before_computing_the_counts_past_the_limit():
+    """The first total past the digit limit (at 3656) decides the refusal,
+    so the counts to 30000, 449 MiB of integers, are never computed."""
+    verify.minimal_dfa()  # built before tracing, as every command shares it
+    tracemalloc.start()
+    try:
+        code, text, err = invoke_captured(["count", "--max-length", "30000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert_one_refusal_line(text, err)
+    assert peak < 50 * 2**20, peak
+
+
+def test_lifting_the_digit_limit_lifts_the_count_refusal():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, text = invoke(["count", "--max-length", "3700", "--format", "csv"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert len(text.splitlines()) == 3702  # a header and lengths 0..3700
 
 
 @given(

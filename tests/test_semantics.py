@@ -1,6 +1,7 @@
 """The operational oracle: the four-step worked sequence, the shape of
 determination states, and the closure properties of consistency."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -123,6 +124,21 @@ def test_table_is_the_step_rule():
             successor = sem.step(state, sym)
             expected = sem.CLASH if successor is None else states.index(successor)
             assert sem.DELTA[q][sym.index] == expected
+
+
+def test_table_is_an_equitable_partition_by_determined_count():
+    """Grouped by how many observables they determine (0, 1 or 3), every
+    state of a group has the same number of successors in each group and
+    the same number of clashes."""
+    groups = [sum(map(bool, s.values)) for s in sem.reachable_states()]
+    assert len(sem.DELTA) == 43 + 1
+    assert Counter(groups) == {0: 1, 1: 18, 3: 24}
+    expected = {0: {1: 18}, 1: {1: 9, 3: 8, "clash": 1}, 3: {3: 15, "clash": 3}}
+    for q, row in enumerate(sem.DELTA[: sem.CLASH]):
+        into = Counter("clash" if r == sem.CLASH else groups[r] for r in row)
+        assert into == expected[groups[q]], q
+    digest = hashlib.sha256(repr(sem.DELTA).encode()).hexdigest()
+    assert digest.startswith("d21d69baa6ada101")
 
 
 def test_folds_agree_with_step_on_random_strings():
