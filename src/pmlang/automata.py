@@ -240,16 +240,13 @@ def decimal_rows(report: CountReport) -> Iterator[tuple[str, str]]:
 
     CPython's int-to-str takes time quadratic in the digits, and
     decimal's takes linear time.  So the report's recurrence runs a
-    second time in ``decimal``, keeping only its last L terms.  The
-    precision covers the largest partial sum of a step, at most
-    sum |a_i| times the largest count, and the final running sum.
-    ``Inexact`` and ``Rounded`` are trapped, so every step is exact or
-    raises.
+    second time in ``decimal``, keeping only its last L terms.  It runs
+    at ``decimal.MAX_PREC``, where whole-number ``fma`` and ``add`` do
+    not round; ``Inexact`` and ``Rounded`` are trapped all the same, so
+    every step is exact or raises.
     """
     counts, recurrence = report.counts, report.recurrence
-    largest = max(report.cumulative[-1], sum(map(abs, recurrence)) * max(counts))
-    # digits of largest <= ceil(bits * log10 2), and log10 2 < 0.30103
-    ctx = decimal.Context(prec=largest.bit_length() * 30103 // 100000 + 2)
+    ctx = decimal.Context(prec=decimal.MAX_PREC)
     ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
     taps = [(i, ctx.create_decimal(a)) for i, a in enumerate(recurrence, 1) if a]
     recent = [ctx.create_decimal(c) for c in counts[: len(recurrence)]]

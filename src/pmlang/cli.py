@@ -189,32 +189,33 @@ def cmd_dfa(args, out) -> int:
 # ------------------------------------------------------------ count
 
 
-def _printable(value: int, what: str) -> bool:
-    """Whether ``value`` converts to str under the interpreter's digit
-    limit; if not, one line on stderr says so."""
-    try:
-        str(value)
-    except ValueError:
-        print(
-            f"error: {what} have more digits than the int-to-str limit "
-            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}; "
-            "set PYTHONINTMAXSTRDIGITS to raise it",
-            file=sys.stderr,
-        )
-        return False
-    return True
+def _digit_ceiling() -> int | None:
+    """The least non-negative int that str() refuses under the
+    interpreter's int-to-str digit limit, 10**limit; None when the
+    limit is 0, which lifts it."""
+    limit = sys.get_int_max_str_digits()
+    return 10**limit if limit else None
+
+
+def _refuse_digits(what: str) -> int:
+    """Say on one stderr line that ``what`` exceed the digit limit."""
+    print(
+        f"error: {what} have more digits than the int-to-str limit "
+        f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}; "
+        "set PYTHONINTMAXSTRDIGITS to raise it",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def cmd_count(args, out) -> int:
-    limit = sys.get_int_max_str_digits()  # 0 lifts it
-    # the counts stop at the first total of more than ``limit`` digits,
+    ceiling = _digit_ceiling()
+    # the counts stop at the first total that reaches the ceiling,
     # which already decides the refusal
-    report = automata.count_words(
-        verify.minimal_dfa(), args.max_length, 10**limit if limit else None
-    )
+    report = automata.count_words(verify.minimal_dfa(), args.max_length, ceiling)
     largest = report.cumulative[-1]  # the largest value in any row
-    if not _printable(largest, f"counts at --max-length {args.max_length}"):
-        return 2
+    if ceiling is not None and largest >= ceiling:
+        return _refuse_digits(f"counts at --max-length {args.max_length}")
     headers = ["n", "count", "cumulative", "bits"]
     bits = automata.hv_bits(report)
     rows = (  # digit strings in linear time per value
@@ -246,11 +247,12 @@ def cmd_bound(args, out) -> int:
         "density",
         "density_floor",
     ]
+    ceiling = _digit_ceiling()
     rows = []
     for r in maga.scaling_reports(args.qubits):
         # lower_bound is the largest cell, and grows with the row
-        if not _printable(r.lower_bound, f"bounds at --qubits {args.qubits}"):
-            return 2
+        if ceiling is not None and r.lower_bound >= ceiling:
+            return _refuse_digits(f"bounds at --qubits {args.qubits}")
         rows.append(
             [
                 r.qubits,

@@ -307,23 +307,13 @@ def block_runs(length: int) -> int:
     return max(MIN_BLOCK_RUNS, BLOCK_STEPS // max(length, 1))
 
 
-# numpy's SeedSequence, after O'Neill's seed_seq_fe, with its default
-# pool of four 32-bit words: the constants of the hash that mixes the
-# entropy into the pool, and of the one that generate_state reads it by
-_POOL_SIZE = 4
+# numpy's SeedSequence, after O'Neill's seed_seq_fe: the constants of
+# the hash that mixes the entropy into its pool of four 32-bit words,
+# and of the one that generate_state reads the pool by
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(n: int) -> list[int]:
-    """A non-negative integer as SeedSequence reads it: its 32-bit
-    words, least significant first, and one word for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
 
 
 def child_seed_words(seed: int, start: int, count: int) -> np.ndarray:
@@ -332,47 +322,35 @@ def child_seed_words(seed: int, start: int, count: int) -> np.ndarray:
     which PCG64 seeds that child's generator.
 
     A child's entropy is the seed's words, zero-padded to the pool size,
-    then its index as one more word, its spawn key.  Only that word
-    differs between children, so each step of numpy's hash runs once
-    over a column of all the children.  A child index of 2**32 or more
-    is a key of two words; those children are made one at a time, as
-    spawn would make them.
+    then its index as one more word, its spawn key.  Up to that word the
+    hash is the parent's, which numpy exposes as ``pool``; each child
+    mixes only its index into that pool, one column for all children.
+    A child index of 2**32 or more is a key of two words; those children
+    are made one at a time, as spawn would make them.
     """
-    if seed < 0:
-        raise ValueError("the seed must be non-negative")
+    parent = np.random.SeedSequence(seed)
     stop = start + count
     cut = min(max(start, 2**32), stop)
-    entropy = _uint32_words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    columns = [np.full(cut - start, word, np.uint32) for word in entropy]
-    columns.append(np.arange(start, cut, dtype=np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
+    # the hash calls that built the pool: four to fill it, twelve to mix
+    # it, and four for each seed word past the fourth
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    calls = 16 + 4 * max(0, seed_words - 4)
+    hash_const = _INIT_A * pow(_MULT_A, calls, 2**32) & _MASK32
+    index = np.arange(start, cut, dtype=np.uint32)
+    pool = []
+    for word in parent.pool.tolist():
+        value = index ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
         value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ result >> 16
-
-    pool = [hashmix(column) for column in columns[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for column in columns[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(column))
+        value ^= value >> 16
+        value = (word * _MIX_MULT_L & _MASK32) - value * _MIX_MULT_R
+        pool.append(value ^ value >> 16)
     # generate_state(4, np.uint64): eight 32-bit words read cyclically
     # from the pool, paired low word first
     hash_const = _INIT_B
     halves = []
     for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
+        value = pool[i % len(pool)] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         halves.append((value ^ value >> 16).astype(np.uint64))

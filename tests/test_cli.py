@@ -760,6 +760,38 @@ def test_count_refusal_names_the_digit_limit(capsys):
         assert "PYTHONINTMAXSTRDIGITS" in err
 
 
+@pytest.mark.parametrize(
+    "command, last, limit",
+    [
+        ("count", 3655, 4300),
+        ("count", 3655, 4299),
+        ("count", 543, 640),
+        ("bound", 167, 4300),
+        ("bound", 167, 4274),
+        ("bound", 63, 640),
+    ],
+)
+def test_each_side_of_the_digit_limit(command, last, limit):
+    """``last`` is the largest length or qubit count whose values have
+    at most ``limit`` digits: it prints every row and ``last + 1`` is
+    refused.  The largest value at count 3655 has 4299 digits and at
+    bound 167 has 4274, so those limits put it exactly at the limit."""
+    flag = {"count": "--max-length", "bound": "--qubits"}[command]
+    rows = last + 1 if command == "count" else last  # lengths from 0, qubits from 1
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, text, err = invoke_captured([command, flag, str(last), "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert len(text.splitlines()) == 1 + rows
+        code, text, err = invoke_captured([command, flag, str(last + 1)])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 2
+    assert_one_refusal_line(text, err)
+    assert f"sys.get_int_max_str_digits() = {limit};" in err
+
+
 def test_count_refuses_before_computing_the_counts_past_the_limit():
     """The first total past the digit limit (at 3656) decides the refusal,
     so the counts to 30000, 449 MiB of integers, are never computed."""

@@ -305,11 +305,15 @@ def test_rejected_runs_are_redrawn_by_scalar_calls(monkeypatch):
     assert calls == [1364, 1364, 1272]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1])
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 2**256 - 1]
+)
 def test_child_seed_words_equal_numpy_spawn(seed):
-    """Children of a seed of one, two, three and five entropy words; the
-    last is not padded before its spawn key.  The words are equal from
-    any first child, the span the sampler computes at once included."""
+    """Children of a seed of one, two, three, five and eight entropy
+    words; the last two are not padded before their spawn key, and each
+    word past the fourth took four more hash calls to build the pool.
+    The words are equal from any first child, the span the sampler
+    computes at once included."""
     span = qu.BLOCK_STEPS
     children = np.random.SeedSequence(seed).spawn(span + 3)
     expected = np.array([c.generate_state(4, np.uint64) for c in children])
