@@ -33,7 +33,7 @@ from .square import (
 # usage limit, far below lengths whose counts pass int-to-str's limit.
 MAX_DEPTH = 6
 
-# the longest random string, the counting DP's last length, the most
+# the longest random string, the last length counted, the most
 # qubits in the bounds suite, and the length of each sampled run and the
 # number of fresh-state trials per observable in the quantum suite
 RANDOM_MAX_LEN = 12
@@ -377,16 +377,24 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
         f"dfa {list(report.counts[:5])} vs brute {brute}",
     )
 
-    dp = automata._dp_counts(dfa, COUNT_MAX)
-    mismatches = sum(a != b for a, b in zip(report.counts, dp))
+    # Cayley-Hamilton gives the DP's counts, over the N-state DFA, a
+    # recurrence of order at most N.  If the report's counts follow the
+    # derived recurrence, of order L, the difference of the two obeys one
+    # of order N + L <= 2N, so agreeing on 2N terms they agree everywhere.
+    c, rec, n_states = report.counts, report.recurrence, dfa.num_states
+    dp = automata._dp_counts(dfa, 2 * n_states - 1)
+    mismatches = sum(a != b for a, b in zip(c, dp)) + sum(
+        c[n] != sum(a * c[n - i] for i, a in enumerate(rec, 1))
+        for n in range(len(rec), len(c))
+    )
     result.add(
-        f"the recurrence derived by Berlekamp-Massey from {2 * dfa.num_states} "
-        f"DP terms reproduces the DP at every length 0..{COUNT_MAX}",
-        report.counts == tuple(dp),
-        f"recurrence {list(report.recurrence)}, {mismatches} mismatches",
+        f"the recurrence derived by Berlekamp-Massey from {len(dp)} DP terms "
+        "reproduces the DP at every length",
+        len(rec) <= n_states and c[: len(dp)] == tuple(dp) and not mismatches,
+        f"recurrence {list(rec)}, agree on {len(dp)} >= {n_states} + {len(rec)} "
+        f"terms, {mismatches} mismatches",
     )
 
-    c = report.counts
     # int / int is correctly rounded, even for counts of a thousand digits
     tail = [c[n + 1] / c[n] for n in range(COUNT_MAX - 100, COUNT_MAX)]
     spread = max(tail) - min(tail)
@@ -622,9 +630,18 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteResult:
         all(r.density >= r.density_floor and r.density > 1.0 for r in reports),
         f"density(1) = {reports[0].density:.4f}",
     )
+    # The gap log2(B_n)/n - (n+3)/2 of the bound B is positive exactly when
+    # B_n > 2^(n(n+3)/2), and as B_(n+1) = 2 (2^(n+1) + 1) B_n, it falls from
+    # n to n+1 exactly when B_n 2^(n(n+1)/2) > 2^n (2^(n+1) + 1)^n.
     result.add(
         "density gap to (n+3)/2 shrinks monotonically toward zero",
-        all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:])) and gaps[-1] > 0,
+        all(r.density_floor == (n + 3) / 2 for n, r in enumerate(reports, 1))
+        and all(
+            s.lower_bound == ((4 << n) + 2) * r.lower_bound
+            and r.lower_bound << n * (n + 1) // 2 > ((2 << n) + 1) ** n << n
+            for n, (r, s) in enumerate(zip(reports, reports[1:]), 1)
+        )
+        and reports[-1].lower_bound > 1 << QUBITS_MAX * (QUBITS_MAX + 3) // 2,
         f"gap(1) = {gaps[0]:.4f}, gap({QUBITS_MAX}) = {gaps[-1]:.2e}",
     )
     result.add(

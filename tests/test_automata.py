@@ -1,6 +1,7 @@
 """Determinization, minimization against an independent equivalence-class
 oracle, exact counting against brute force, and the bit curve."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -12,6 +13,7 @@ from pmlang import automata as au
 from pmlang import grammar as gr
 from pmlang import semantics as sem
 from pmlang import square as sq
+from pmlang import verify
 
 from nfa_walk import walked
 
@@ -235,10 +237,52 @@ def test_bit_curve():
 
 
 def test_count_words_matches_the_dp_at_every_length():
+    """The numbers behind the ``counting`` suite's every-length line, up
+    to the suite's last length, and a report cut at each side of the 88
+    DP terms."""
     m = minimal_dfa()
-    dp = tuple(au._dp_counts(m, 300))
+    dp = tuple(au._dp_counts(m, verify.COUNT_MAX))
+    assert au.count_words(m, verify.COUNT_MAX).counts == dp
     for n in (0, 1, 2, 3, 86, 87, 88, 89, 300):
         assert au.count_words(m, n).counts == dp[: n + 1]
+
+
+_COUNT_WORDS = au.count_words
+
+
+def _count_500_off(dfa, n_max, ceiling=None):
+    report = _COUNT_WORDS(dfa, n_max, ceiling)
+    counts = list(report.counts)
+    counts[500] += 1
+    return dataclasses.replace(report, counts=tuple(counts))
+
+
+@pytest.mark.parametrize(
+    "name, broken, detail",
+    [
+        # a count past the 88 DP terms is checked by the recurrence alone
+        (
+            "count_words",
+            _count_500_off,
+            "recurrence [24, -135, 0], agree on 88 >= 44 + 3 terms, 3 mismatches",
+        ),
+        # c_0 = 1 breaks c_n = 24 c_(n-1) - 135 c_(n-2) at n = 2 only
+        (
+            "_berlekamp_massey",
+            lambda terms: (24, -135),
+            "recurrence [24, -135], agree on 88 >= 44 + 2 terms, 1 mismatches",
+        ),
+    ],
+)
+def test_counting_recurrence_line_fails_under_a_mutation(
+    monkeypatch, name, broken, detail
+):
+    """The every-length line, and only it, fails: it does not raise."""
+    monkeypatch.setattr(au, name, broken)
+    result = verify.suite_counting(verify.VerifyConfig())
+    (check,) = [c for c in result.checks if not c.passed]
+    assert check.name.endswith("DP terms reproduces the DP at every length")
+    assert check.detail == detail
 
 
 def test_derived_recurrence_is_pinned():

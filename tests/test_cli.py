@@ -483,11 +483,19 @@ def test_seeded_quantum_output_is_pinned(argv, digest):
             "adapter",
             "34450790a94342d4e624d712d1a1be84a7e692dfde8398753e7fac95850c9969",
         ),
+        (
+            "counting",
+            "68639d2b1a4d5cea460bd827fd7cf9ee366025f0c1d290b96bba6a9efe8eb957",
+        ),
+        (
+            "bounds",
+            "981670ad70d7adc2292ccb54cd5e5f107d9007f42798dde816abb2173f3a8deb",
+        ),
     ],
 )
 def test_seeded_automaton_suites_are_pinned(suite, digest):
-    """The suites that walk an automaton beside the oracle, at the
-    default depths."""
+    """The suites that walk an automaton beside the oracle, and the
+    counting and bounds suites, at the default depths."""
     code, text = invoke(["verify", "--suite", suite, "--seed", "20240817"])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -665,7 +673,7 @@ def test_verify_with_reduced_depths():
     assert "FAIL" not in text
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "602ef860c903faf048be01aa76a9d00c2d41ab1390c530c1de8149a00073e496"
+        == "e08eec95c6ee82f23d9dd02bcf18b7d6c499ec64851087c882401b933735d4d6"
     )
     for detail in (
         "(6175 strings, 0 mismatches)",

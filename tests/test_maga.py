@@ -260,6 +260,20 @@ def test_bounds_suite_details_and_a_rising_gap(monkeypatch):
     assert [c.passed for c in result.checks] == [True, True, True, False, True]
 
 
+def test_gap_line_catches_an_inflated_bound(monkeypatch):
+    """The gap line reads the bounds as integers, so a context count and
+    bound twice too large at one n fail it, though the report's float
+    density, and so its gap, is unchanged."""
+    reports = list(maga.scaling_reports(verify.QUBITS_MAX))
+    r = reports[9]
+    reports[9] = dataclasses.replace(
+        r, contexts=2 * r.contexts, lower_bound=2 * r.lower_bound
+    )
+    monkeypatch.setattr(maga, "scaling_reports", lambda n: iter(reports[:n]))
+    result = verify.suite_bounds(verify.VerifyConfig())
+    assert [c.passed for c in result.checks] == [True, True, True, False, True]
+
+
 def test_scaling_rejects_nonpositive_qubits():
     with pytest.raises(ValueError):
         maga.scaling_report(0)
