@@ -31,8 +31,7 @@ TOLERANCE = 1e-12
 BLOCK_STEPS = 1 << 12
 MIN_BLOCK_RUNS = 8
 
-# haar_vector draws again while the norm of its Gaussian draw is at
-# most this
+# a Gaussian draw whose norm is at most this is drawn again
 _MIN_NORM = 1e-6
 
 _I = np.eye(2, dtype=complex)
@@ -152,8 +151,8 @@ def operator_law_failures(table: dict[Observable, PauliObservable]) -> list[str]
 def haar_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors from rows of eight normal draws, the real parts then
     the imaginary parts, and per row whether its norm exceeds _MIN_NORM;
-    a row that does not is drawn again by :func:`haar_vector`, and its
-    vector here means nothing.
+    a row that does not is drawn again, and its vector here means
+    nothing.
 
     The norm is np.linalg.norm's, bit for bit: the square root of the
     real and the imaginary parts' dot products, each of which adds its
@@ -244,24 +243,14 @@ def measure_runs(
 
 def measure_fresh(rng: np.random.Generator, ks: list[int], runs: int) -> np.ndarray:
     """The outcomes (True for +1) of measuring the observables ``ks`` in
-    turn on ``runs`` fresh Haar states, as a (runs, len(ks)) array.  Per
-    run, ``rng`` draws the state by :func:`haar_vector` and then the
-    run's uniforms by ``rng.random(len(ks))``.
-
-    No draw depends on a state, so the draws come first, one
-    ``normal(size=8)`` per state, and the runs are measured together.
-    If some state's draw would be drawn again, every later draw moves,
-    so ``rng`` is rewound and draws each state by haar_vector itself.
-    """
-    rewind = rng.bit_generator.state
-    drawn = [(rng.normal(size=8), rng.random(len(ks))) for _ in range(runs)]
-    z, us = map(np.array, zip(*drawn))
-    starts, kept = haar_rows(z)
-    if not kept.all():
-        rng.bit_generator.state = rewind
-        drawn = [(haar_vector(rng), rng.random(len(ks))) for _ in range(runs)]
-        starts, us = map(np.array, zip(*drawn))
-    return measure_runs(starts, np.tile(ks, (runs, 1)), us)[0]
+    turn on ``runs`` fresh Haar states, as a (runs, len(ks)) array: one
+    block of normals for the states, one more for the rows whose norm is
+    too short until all are kept, then one block of uniforms."""
+    starts, kept = haar_rows(rng.normal(size=(runs, 8)))
+    while not kept.all():
+        short = np.flatnonzero(~kept)
+        starts[short], kept[short] = haar_rows(rng.normal(size=(len(short), 8)))
+    return measure_runs(starts, np.tile(ks, (runs, 1)), rng.random((runs, len(ks))))[0]
 
 
 # Generator.integers(9) takes a 32-bit half of a PCG64 word, x, and
@@ -384,13 +373,11 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _sample_block(
-    words: np.ndarray, length: int
-) -> Iterator[tuple[SignedSymbol, ...]]:
-    """Runs of ``length`` steps, one per row of seed words: from the
-    generator on the words, a Haar start state, then per step a uniform
-    observable and a uniform number, drawn as ``rng.integers(9)`` and
-    ``rng.random()`` would draw them.
+def _sample_block(words: np.ndarray, length: int) -> np.ndarray:
+    """Runs of ``length`` steps as ALPHABET indexes, one row per row of
+    seed words: from the generator on the words, a Haar start state, then
+    per step a uniform observable and a uniform number, drawn as
+    ``rng.integers(9)`` and ``rng.random()`` would draw them.
 
     The start states come from one ``normal(size=8)`` draw per run; a
     run whose draw :func:`haar_vector` would draw again is drawn by it,
@@ -406,8 +393,7 @@ def _sample_block(
     for i in np.flatnonzero(~kept).tolist():
         rngs[i] = rng = _generator(words[i])
         psi[i] = haar_vector(rng)
-    ks = np.empty((len(rngs), length), dtype=np.uint8)
-    plus = np.empty((len(rngs), length), dtype=bool)
+    codes = np.empty((len(rngs), length), dtype=np.uint8)
     chunk = max(2, BLOCK_STEPS // len(rngs) & ~1)
     scalar = {}  # run -> generator that redraws it by scalar calls
     for t0 in range(0, length, chunk):
@@ -425,11 +411,10 @@ def _sample_block(
         # the bulk draws of such a run go on, unused
         for i, rng in scalar.items():
             k[i], us[i] = _scalar_steps(rng, steps).T
-        ks[:, t0:t0 + steps] = k
-        plus[:, t0:t0 + steps], psi = measure_runs(psi, k, us)
-    # ALPHABET lists each observable's +1 symbol before its -1 symbol
-    for codes in (2 * ks + ~plus).tolist():
-        yield tuple(map(ALPHABET.__getitem__, codes))
+        plus, psi = measure_runs(psi, k, us)
+        # ALPHABET lists each observable's +1 symbol before its -1 symbol
+        codes[:, t0:t0 + steps] = 2 * k + ~plus
+    return codes
 
 
 def sample_run(length: int, seed: int) -> tuple[SignedSymbol, ...]:
@@ -438,19 +423,25 @@ def sample_run(length: int, seed: int) -> tuple[SignedSymbol, ...]:
     if length < 0:
         raise ValueError("length must be non-negative")
     words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-    return next(_sample_block(words[None], length))
+    return tuple(map(ALPHABET.__getitem__, _sample_block(words[None], length)[0]))
 
 
-def sample_many(
-    runs: int, length: int, seed: int
-) -> Iterator[tuple[SignedSymbol, ...]]:
-    """Independent reproducible runs, run i drawn by the generator on
-    child i of ``SeedSequence(seed)``, measured a block at a time.  The
-    children's seed words are computed for about BLOCK_STEPS runs at a
-    time."""
+def sample_codes(runs: int, length: int, seed: int) -> Iterator[np.ndarray]:
+    """Independent reproducible runs as ALPHABET indexes, a (runs, length)
+    array per block; run i is drawn by the generator on child i of
+    ``SeedSequence(seed)``, whose seed words go BLOCK_STEPS runs at a time."""
     block = block_runs(length)
     span = block * max(1, BLOCK_STEPS // block)
     for first in range(0, runs, span):
         words = child_seed_words(seed, first, min(span, runs - first))
         for i in range(0, len(words), block):
-            yield from _sample_block(words[i:i + block], length)
+            yield _sample_block(words[i:i + block], length)
+
+
+def sample_many(
+    runs: int, length: int, seed: int
+) -> Iterator[tuple[SignedSymbol, ...]]:
+    """The runs of :func:`sample_codes` as symbols, a block at a time."""
+    for codes in sample_codes(runs, length, seed):
+        for row in codes.tolist():
+            yield tuple(map(ALPHABET.__getitem__, row))

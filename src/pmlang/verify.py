@@ -135,36 +135,47 @@ def _product(
 _FOLD_BLOCK = 4096
 
 
-def _random_folds(cfg: VerifyConfig, seed: int, delta, *checks) -> list[int]:
-    """Fold ``cfg.random_strings`` seeded random strings, each of a
-    uniform random length 0..RANDOM_MAX_LEN, through the integer table
-    ``delta`` from state 0, and count for each check (a 0/1 table of the
-    same shape) the strings that take an edge it flags.  The strings go
-    _FOLD_BLOCK at a time, so memory does not grow with their number."""
-    import numpy as np  # only the random folds and the quantum suite need numpy
+def _fold(delta, blocks, count, *checks) -> list[int]:
+    """Fold blocks of strings, one row of symbols per step, through the
+    integer table ``delta`` from state 0.  Per check, a 0/1 table of the
+    same shape, sum ``count(hits, axis=1)`` over the blocks, where a row
+    of ``hits`` holds how many of each string's edges one check flags."""
+    import numpy as np  # only the folds and the quantum suite need numpy
 
-    # a last "stay" column, unflagged, pads each string past its length;
-    # a state is kept as the offset of its row in the flattened tables
+    # a last "stay" column, unflagged, pads a string past its end; a
+    # state is kept as the offset of its row in the flattened tables
     stay = len(ALPHABET)
     table = (stay + 1) * np.array([[*row, q] for q, row in enumerate(delta)]).ravel()
-    bits = sum(np.array(check, dtype=int) << i for i, check in enumerate(checks))
-    bits = np.pad(np.reshape(bits, (len(delta), stay)), ((0, 0), (0, 1))).ravel()
-    rng = np.random.default_rng(seed)
-    counts = [0] * len(checks)
-    for done in range(0, cfg.random_strings, _FOLD_BLOCK):
-        size = min(_FOLD_BLOCK, cfg.random_strings - done)
-        lengths = rng.integers(0, RANDOM_MAX_LEN, size, endpoint=True)
-        columns = rng.integers(0, stay, (RANDOM_MAX_LEN, size))
-        columns[np.arange(RANDOM_MAX_LEN)[:, None] >= lengths] = stay
-        q = np.zeros(size, dtype=int)
-        hit = np.zeros(size, dtype=int)
+    flags = np.array([[[*r, 0] for r in c] for c in checks]).reshape(len(checks), -1)
+    totals = np.zeros(len(checks), dtype=int)
+    for columns in blocks:
+        q = np.zeros(columns.shape[1], dtype=table.dtype)
+        hits = np.zeros((len(checks), len(q)), dtype=int)
         for s in columns:
-            s += q
-            hit |= bits.take(s)
+            s = q + s
+            hits += flags.take(s, axis=1)
             table.take(s, out=q)
-        for i in range(len(checks)):
-            counts[i] += int(np.count_nonzero(hit & (1 << i)))
-    return counts
+        totals += count(hits, axis=1)
+    return totals.tolist()
+
+
+def _random_folds(cfg: VerifyConfig, seed: int, delta, *checks) -> list[int]:
+    """Per check, how many of ``cfg.random_strings`` seeded random strings,
+    each of a uniform random length 0..RANDOM_MAX_LEN, take an edge it
+    flags; the strings go _FOLD_BLOCK at a time, so memory stays bounded."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+
+    def blocks():
+        for done in range(0, cfg.random_strings, _FOLD_BLOCK):
+            size = min(_FOLD_BLOCK, cfg.random_strings - done)
+            lengths = rng.integers(0, RANDOM_MAX_LEN, size, endpoint=True)
+            columns = rng.integers(0, len(ALPHABET), (RANDOM_MAX_LEN, size))
+            columns[np.arange(RANDOM_MAX_LEN)[:, None] >= lengths] = len(ALPHABET)
+            yield columns
+
+    return _fold(delta, blocks(), np.count_nonzero, *checks)
 
 
 # ---------------------------------------------------------------- parity
@@ -677,19 +688,20 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
     if failures:
         return result  # every check below measures with these operators
 
-    inconsistent = 0
-    determined_checked = 0
-    determined_wrong = 0
-    for run in quantum.sample_many(cfg.quantum_runs, QUANTUM_RUN_LEN, cfg.seed + 3):
-        traced = semantics.trace(run)
-        inconsistent += not traced.consistent
-        # the state before each step, up to and including a clash
-        before = (semantics.EMPTY_STATE, *traced.states)
-        for state, sym in zip(before, traced.symbols):
-            predicted = state.value_of(sym.obs)
-            if predicted is not None:
-                determined_checked += 1
-                determined_wrong += predicted != sym.value
+    # per edge: it enters the sink; its state holds the symbol's observable;
+    # it holds the other value.  The sink, read as the empty state, flags
+    # nothing, so a run counts once, with its predictions through its clash.
+    clash, delta = semantics.CLASH, semantics.DELTA
+    held = [st.values for st in (*semantics.reachable_states(), semantics.EMPTY_STATE)]
+    checks = (
+        [[q != clash and r == clash for r in row] for q, row in enumerate(delta)],
+        [[values[s.obs.index] != 0 for s in ALPHABET] for values in held],
+        [[values[s.obs.index] == -s.value for s in ALPHABET] for values in held],
+    )
+    runs = quantum.sample_codes(cfg.quantum_runs, QUANTUM_RUN_LEN, cfg.seed + 3)
+    inconsistent, determined_checked, determined_wrong = _fold(
+        delta, (codes.T for codes in runs), np.sum, *checks
+    )
     result.add(
         f"{cfg.quantum_runs} sampled runs of length {QUANTUM_RUN_LEN} "
         "are all consistent",
@@ -704,20 +716,17 @@ def suite_quantum(cfg: VerifyConfig) -> SuiteResult:
 
     # each trial draws a fresh state and then measures one observable
     seqs = np.random.SeedSequence(cfg.seed + 4).spawn(len(OBSERVABLES))
-    freq_ok = True
     details = []
     for obs, seq in zip(OBSERVABLES, seqs):
         rng = np.random.default_rng(seq)
-        plus = int(quantum.measure_fresh(rng, [obs.index], QUANTUM_TRIALS).sum())
-        freq = plus / QUANTUM_TRIALS
+        freq = quantum.measure_fresh(rng, [obs.index], QUANTUM_TRIALS).mean()
         if not (0.4 <= freq <= 0.6):
-            freq_ok = False
             details.append(f"{obs.name}: {freq:.3f}")
     result.add(
         f"first-outcome frequencies lie in [0.4, 0.6] over "
         f"{QUANTUM_TRIALS} fresh random states per observable",
-        freq_ok,
-        "; ".join(details) if details else "all within bounds",
+        not details,
+        "; ".join(details) or "all within bounds",
     )
 
     rng = np.random.default_rng(cfg.seed + 5)

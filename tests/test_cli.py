@@ -491,11 +491,15 @@ def test_seeded_quantum_output_is_pinned(argv, digest):
             "bounds",
             "981670ad70d7adc2292ccb54cd5e5f107d9007f42798dde816abb2173f3a8deb",
         ),
+        (
+            "all",
+            "f0a8a263719b2cbd97733adefc15af95ee82c7db1a52e89fd876c51a87a7cabd",
+        ),
     ],
 )
 def test_seeded_automaton_suites_are_pinned(suite, digest):
-    """The suites that walk an automaton beside the oracle, and the
-    counting and bounds suites, at the default depths."""
+    """The suites that walk an automaton beside the oracle, the counting
+    and bounds suites, and the whole report, at the default depths."""
     code, text = invoke(["verify", "--suite", suite, "--seed", "20240817"])
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -595,11 +599,36 @@ def test_verify_reports_a_broken_disagreement_table(monkeypatch, capsys):
 
 def test_verify_reports_an_inconsistent_sampled_run(monkeypatch):
     clash = parse_string("A ~A")  # the clash step is checked against A=+1
-    monkeypatch.setattr(quantum, "sample_many", lambda runs, length, seed: [clash])
+    codes = np.array([[sym.index for sym in clash]], dtype=np.uint8)
+    monkeypatch.setattr(quantum, "sample_codes", lambda runs, length, seed: [codes])
     code, text = invoke("verify --suite quantum --seed 1".split())
     assert code == 1
     assert "are all consistent (1 inconsistent runs)" in text
     assert "(1 determined predictions, 1 wrong)" in text
+
+
+def test_sampled_run_lines_fail_under_swapped_start_edges(monkeypatch, capsys):
+    """With the start state's A and ~A edges swapped in the table, the
+    runs that measure A again clash; both sampled-run lines fail, and
+    nothing raises."""
+    a, not_a = (sym.index for sym in parse_string("A ~A"))
+    rows = [list(row) for row in sem.DELTA]
+    rows[0][a], rows[0][not_a] = rows[0][not_a], rows[0][a]
+    monkeypatch.setattr(sem, "DELTA", tuple(map(tuple, rows)))
+    code, text = invoke(
+        "verify --suite quantum --seed 20240817 --quantum-runs 2000".split()
+    )
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert (
+        "FAIL 2000 sampled runs of length 12 are all consistent "
+        "(82 inconsistent runs)\n"
+    ) in text
+    assert (
+        "FAIL sampled values equal the determined values at every step "
+        "(6060 determined predictions, 82 wrong)\n"
+    ) in text
+    assert "[summary] 4/6 checks passed" in text
 
 
 def test_verify_reports_a_refused_state_in_the_chain_as_a_failed_line(

@@ -216,7 +216,12 @@ def test_batched_sampler_equals_chained_measure(length):
         for seq in np.random.SeedSequence(seed).spawn(block + 1)
     ]
     for runs in (0, 1, block - 1, block, block + 1):
-        assert list(qu.sample_many(runs, length, seed)) == reference[:runs]
+        runs_drawn = list(qu.sample_many(runs, length, seed))
+        assert runs_drawn == reference[:runs]
+        blocks = list(qu.sample_codes(runs, length, seed))
+        assert all(b.dtype == np.uint8 and b.shape[1] == length for b in blocks)
+        codes = np.concatenate(blocks) if blocks else np.empty((0, length))
+        assert [tuple(sq.ALPHABET[c] for c in row) for row in codes] == runs_drawn
     assert qu.sample_run(length, 99) == _chained_measure(
         np.random.default_rng(99), length
     )
@@ -375,22 +380,33 @@ def test_a_short_norm_is_drawn_again(monkeypatch):
     assert list(qu.sample_many(90, 12, 12)) == reference
 
 
-def _measured_one_by_one(rng, ks, runs):
-    """measure_fresh's reference: per run, haar_vector, then the run's
-    uniforms."""
-    drawn = [(qu.haar_vector(rng), rng.random(len(ks))) for _ in range(runs)]
-    starts, us = map(np.array, zip(*drawn))
-    return qu.measure_runs(starts, np.tile(ks, (runs, 1)), us)[0]
+def _measured_in_blocks(rng, ks, runs):
+    """measure_fresh's reference: every run's normals as one block, then
+    one block for the rows whose norm is too short, until all are kept,
+    then the uniforms as one block.  Also returns the rows redrawn."""
+    z = rng.normal(size=(runs, 8))
+    redrawn = 0
+    while True:
+        norms = np.array([np.linalg.norm(row[:4] + 1j * row[4:]) for row in z])
+        short = np.flatnonzero(norms <= qu._MIN_NORM)
+        if not len(short):
+            break
+        redrawn += len(short)
+        z[short] = rng.normal(size=(len(short), 8))
+    starts = (z[:, :4] + 1j * z[:, 4:]) / norms[:, None]
+    us = rng.random((runs, len(ks)))
+    return qu.measure_runs(starts, np.tile(ks, (runs, 1)), us)[0], redrawn
 
 
 @pytest.mark.parametrize("min_norm", [qu._MIN_NORM, 2.5])
 def test_measure_fresh_equals_drawing_each_state_in_turn(monkeypatch, min_norm):
     """Equal outcomes and generator states after each call; at a least
-    norm of 2.5 some draw is drawn again, so measure_fresh rewinds."""
+    norm of 2.5 some rows are drawn again, over several blocks."""
     monkeypatch.setattr(qu, "_MIN_NORM", min_norm)
     ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
     for ks, runs in [([2, 5], 300), ([0, 4, 8], 200)]:
-        expected = _measured_one_by_one(theirs, ks, runs)
+        expected, redrawn = _measured_in_blocks(theirs, ks, runs)
+        assert (redrawn > runs // 2) == (min_norm == 2.5)
         assert (qu.measure_fresh(ours, ks, runs) == expected).all()
         assert ours.bit_generator.state == theirs.bit_generator.state
 
