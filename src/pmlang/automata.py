@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
-from operator import or_
-from typing import Any, Iterable, Iterator, Mapping
+from operator import mul, or_
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .semantics import reachable
 from .square import ALPHABET, SignedSymbol
@@ -108,15 +106,11 @@ def determinize(nfa: Nfa) -> Dfa:
     return Dfa(delta, 0, accepting, ids.get(0))
 
 
-def minimize(dfa: Dfa) -> Dfa:
-    """Language-equivalent minimal DFA via Moore partition refinement
-    (Moore 1956).
-
-    Unreachable states are pruned first.  Starting from the accepting
-    and non-accepting blocks, each round relabels every state by its
-    block and its successors' blocks, until a round adds no block.  The
-    blocks are then renumbered by BFS from the start block, so the
-    output is canonical.  Idempotent up to that renumbering.
+def _refine(dfa: Dfa, signature: Callable) -> dict[int, int]:
+    """Partition refinement of the reachable states, from the accepting
+    and non-accepting blocks: each round relabels every state by its
+    block and the ``signature`` of its successors' blocks, until a round
+    adds no block.  Maps each reachable state, in BFS order, to its block.
     """
     reach = reachable(dfa.delta.__getitem__, dfa.start)
     block = {q: q in dfa.accepting for q in reach}
@@ -124,15 +118,24 @@ def minimize(dfa: Dfa) -> Dfa:
         labels: dict[tuple, int] = {}
         refined = {
             q: labels.setdefault(
-                (block[q], tuple(block[s] for s in dfa.delta[q])), len(labels)
+                (b, signature(block[s] for s in dfa.delta[q])), len(labels)
             )
-            for q in reach
+            for q, b in block.items()
         }
         if len(labels) == len(set(block.values())):
-            break
+            return block
         block = refined
 
-    rep = {block[q]: q for q in reach}  # any member: the blocks are stable
+
+def minimize(dfa: Dfa) -> Dfa:
+    """Language-equivalent minimal DFA via Moore partition refinement
+    (Moore 1956): ``_refine`` the reachable states by the tuple of their
+    successors' blocks.  The blocks are then renumbered by BFS from the
+    start block, so the output is canonical.  Idempotent up to that
+    renumbering.
+    """
+    block = _refine(dfa, tuple)
+    rep = {b: q for q, b in block.items()}  # any member: the blocks are stable
     order = reachable(
         lambda b: [block[s] for s in dfa.delta[rep[b]]], block[dfa.start]
     )
@@ -174,44 +177,40 @@ def _dp_counts(dfa: Dfa, n_max: int) -> list[int]:
     return counts
 
 
-def _berlekamp_massey(terms: list[int]) -> tuple[int, ...]:
-    """The shortest recurrence s_n = a_1 s_{n-1} + ... + a_L s_{n-L}
-    (n >= L) that generates ``terms``, by Berlekamp-Massey over the
-    rationals (Massey 1969).  Raises ValueError unless every a_i is an
-    integer."""
-    conn = [Fraction(1)]  # C(x) = 1 - a_1 x - ... - a_L x^L
-    prev = [Fraction(1)]
-    length, shift, prev_disc = 0, 1, Fraction(1)
-    for n, term in enumerate(terms):
-        disc = term + sum(conn[i] * terms[n - i] for i in range(1, len(conn)))
-        if disc == 0:
-            shift += 1
-            continue
-        old = conn
-        conn = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
-        for i, b in enumerate(prev):
-            conn[i + shift] -= disc / prev_disc * b
-        if 2 * length <= n:
-            length, prev, prev_disc, shift = n + 1 - length, old, disc, 1
-        else:
-            shift += 1
-    conn += [Fraction(0)] * (length + 1 - len(conn))
-    coeffs = [-c for c in conn[1 : length + 1]]
-    if any(c.denominator != 1 for c in coeffs):
-        raise ValueError(
-            "recurrence has non-integer coefficients " + ", ".join(map(str, coeffs))
-        )
-    return tuple(int(c) for c in coeffs)
+def _recurrence(dfa: Dfa) -> tuple[int, ...]:
+    """A recurrence c_n = a_1 c_{n-1} + ... + a_L c_{n-L} (n >= L) of the
+    word counts, from the equitable quotient (Godsil & Royle 2001, §9.3).
+
+    ``_refine`` by the multiset of successor blocks leaves blocks whose
+    states each have Q[i][j] successors in block j, so the counts are
+    e_start Q^n 1_accepting and, by Cayley-Hamilton, obey Q's
+    characteristic polynomial; Faddeev-LeVerrier finds it, with exact
+    integer division.  The dead state's block is dropped after
+    refinement: it reaches no accepting state, and would add a factor.
+    """
+    block = _refine(dfa, lambda succ: tuple(sorted(succ)))
+    rep = {b: q for q, b in block.items()}
+    live = [b for b in rep if b != block.get(dfa.dead)]
+    quotient = [
+        [sum(block[s] == c for s in dfa.delta[rep[b]]) for c in live] for b in live
+    ]
+    coeffs: list[int] = []
+    qm = quotient  # Q M_k, where M_1 = I and M_(k+1) = Q M_k - a_k I
+    for k in range(1, len(live) + 1):
+        coeffs.append(sum(row[i] for i, row in enumerate(qm)) // k)  # tr(Q M_k) / k
+        qm = [
+            [sum(map(mul, row, col)) - coeffs[-1] * x for col, x in zip(zip(*qm), row)]
+            for row in quotient
+        ]
+    return tuple(coeffs)
 
 
 def count_words(dfa: Dfa, n_max: int, ceiling: int | None = None) -> CountReport:
     """Count accepted words of each length 0..n_max exactly.
 
-    The counts of a language accepted by an N-state DFA satisfy a linear
-    recurrence of order at most N, and 2N terms determine it.  So the DP
-    runs for 2N terms only, Berlekamp-Massey derives the recurrence from
-    them, and the recurrence extends the counts, exactly, to any length.
-    The dominant growth-rate estimate is the final count ratio.
+    The DP gives the first L counts, and ``_recurrence``, of order L,
+    extends them, exactly, to any length.  The dominant growth-rate
+    estimate is the final count ratio, None if its divisor is missing or 0.
 
     With ``ceiling``, the report stops at the first length whose running
     total reaches it: the totals only grow, so no later count is needed
@@ -219,19 +218,19 @@ def count_words(dfa: Dfa, n_max: int, ceiling: int | None = None) -> CountReport
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    terms = _dp_counts(dfa, 2 * dfa.num_states - 1)
-    recurrence = _berlekamp_massey(terms)
-    taps = [(i, a) for i, a in enumerate(recurrence, 1) if a]
-    counts = terms[: n_max + 1]
-    cumulative = list(accumulate(counts))
-    for n in range(len(counts), n_max + 1):
+    rec = _recurrence(dfa)
+    terms = _dp_counts(dfa, len(rec) - 1)
+    counts: list[int] = []
+    cumulative = [0]
+    for n in range(n_max + 1):
+        count = terms[n] if n < len(terms) else sum(map(mul, rec, reversed(counts)))
+        counts.append(count)
+        cumulative.append(cumulative[-1] + count)
         if ceiling is not None and cumulative[-1] >= ceiling:
             break
-        counts.append(sum(a * counts[n - i] for i, a in taps))
-        cumulative.append(cumulative[-1] + counts[-1])
     # int / int is correctly rounded, as float(Fraction(...)) is
-    rate = counts[-1] / counts[-2] if n_max else None
-    return CountReport(tuple(counts), tuple(cumulative), rate, recurrence)
+    rate = counts[-1] / counts[-2] if len(counts) > 1 and counts[-2] else None
+    return CountReport(tuple(counts), tuple(cumulative[1:]), rate, rec)
 
 
 def decimal_rows(report: CountReport) -> Iterator[tuple[str, str]]:

@@ -399,8 +399,8 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
         for n in range(len(rec), len(c))
     )
     result.add(
-        f"the recurrence derived by Berlekamp-Massey from {len(dp)} DP terms "
-        "reproduces the DP at every length",
+        "the recurrence read off the DFA's equitable quotient reproduces the "
+        "DP at every length",
         len(rec) <= n_states and c[: len(dp)] == tuple(dp) and not mismatches,
         f"recurrence {list(rec)}, agree on {len(dp)} >= {n_states} + {len(rec)} "
         f"terms, {mismatches} mismatches",

@@ -257,32 +257,55 @@ def _count_500_off(dfa, n_max, ceiling=None):
     return dataclasses.replace(report, counts=tuple(counts))
 
 
+def _refine_stopping_after_one_round(dfa, signature):
+    """``_refine`` whose first round always finds the partition stable,
+    so it returns the accepting/rejecting split it started from."""
+    reach = sem.reachable(dfa.delta.__getitem__, dfa.start)
+    return {q: q in dfa.accepting for q in reach}
+
+
 @pytest.mark.parametrize(
-    "name, broken, detail",
+    "name, broken, details",
     [
         # a count past the 88 DP terms is checked by the recurrence alone
         (
             "count_words",
             _count_500_off,
-            "recurrence [24, -135, 0], agree on 88 >= 44 + 3 terms, 3 mismatches",
+            ["recurrence [24, -135, 0], agree on 88 >= 44 + 3 terms, 3 mismatches"],
         ),
-        # c_0 = 1 breaks c_n = 24 c_(n-1) - 135 c_(n-2) at n = 2 only
+        # past its L seed terms the report's counts come from the
+        # recurrence, so the brute-force line sees a wrong one from
+        # length L on: here c_2 = 24 * 18 - 135 * 1 = 297
         (
-            "_berlekamp_massey",
-            lambda terms: (24, -135),
-            "recurrence [24, -135], agree on 88 >= 44 + 2 terms, 1 mismatches",
+            "_recurrence",
+            lambda dfa: (24, -135),
+            [
+                "dfa [1, 18, 297, 4698, 72657] vs brute [1, 18, 306, 4914, 76626]",
+                "recurrence [24, -135], agree on 88 >= 44 + 2 terms, 86 mismatches",
+            ],
+        ),
+        # one block of 43 accepting states: its representative has 15
+        # live successors
+        (
+            "_refine",
+            _refine_stopping_after_one_round,
+            [
+                "dfa [1, 15, 225, 3375, 50625] vs brute [1, 18, 306, 4914, 76626]",
+                "recurrence [15], agree on 88 >= 44 + 1 terms, 87 mismatches",
+            ],
         ),
     ],
 )
 def test_counting_recurrence_line_fails_under_a_mutation(
-    monkeypatch, name, broken, detail
+    monkeypatch, name, broken, details
 ):
-    """The every-length line, and only it, fails: it does not raise."""
+    """The every-length line fails, last, and the suite does not raise."""
+    verify.minimal_dfa()  # minimised before ``_refine`` is broken
     monkeypatch.setattr(au, name, broken)
     result = verify.suite_counting(verify.VerifyConfig())
-    (check,) = [c for c in result.checks if not c.passed]
-    assert check.name.endswith("DP terms reproduces the DP at every length")
-    assert check.detail == detail
+    failed = [c for c in result.checks if not c.passed]
+    assert failed[-1].name.endswith("reproduces the DP at every length")
+    assert [c.detail for c in failed] == details
 
 
 def test_derived_recurrence_is_pinned():
@@ -290,10 +313,53 @@ def test_derived_recurrence_is_pinned():
     assert au.count_words(minimal_dfa(), 0).recurrence == (24, -135, 0)
 
 
-def test_berlekamp_massey_refuses_non_integer_coefficients():
-    assert au._berlekamp_massey([1, 2, 4, 8, 16]) == (2,)
-    with pytest.raises(ValueError):
-        au._berlekamp_massey([2, 1])  # s_1 = s_0 / 2
+def _successor_multisets_coarser_than_moore():
+    """States 1 and 2 both lead to 3 on one symbol and to 4 on another,
+    in the opposite order, and 3 and 4 are not equivalent: Moore keeps 1
+    and 2 apart, the counting quotient merges them."""
+    dead = 5
+    rest = (dead,) * 16
+    delta = (
+        (1, 2, *rest),
+        (3, 4, *rest),
+        (4, 3, *rest),
+        (3,) * 18,
+        (4, *(dead,) * 17),
+        (dead,) * 18,
+    )
+    return au.Dfa(delta, 0, frozenset(range(5)), dead)
+
+
+def _oracle_table(dead):
+    return au.Dfa(sem.DELTA, 0, frozenset(range(sem.CLASH)), dead)
+
+
+def test_counting_blocks_are_coarser_than_moore_blocks():
+    dfa = _successor_multisets_coarser_than_moore()
+    moore = au._refine(dfa, tuple)
+    counting = au._refine(dfa, lambda succ: tuple(sorted(succ)))
+    assert moore[1] != moore[2] and counting[1] == counting[2]
+    assert len(set(counting.values())) == len(set(moore.values())) - 1
+    assert au.minimize(dfa).num_states == 6
+
+
+@pytest.mark.parametrize(
+    "make, recurrence",
+    [
+        (lambda: verify._pipeline()[0], (24, -135, 0)),
+        (lambda: _oracle_table(sem.CLASH), (24, -135, 0)),
+        # the sink stays in the quotient: its block adds the factor x - 18
+        (lambda: _oracle_table(None), (42, -567, 2430, 0)),
+        # x^2 (x - 1) (x - 18)
+        (_successor_multisets_coarser_than_moore, (19, -18, 0, 0)),
+    ],
+    ids=["subset", "table", "table-without-dead", "multisets"],
+)
+def test_count_words_matches_the_dp_on_other_dfas(make, recurrence):
+    dfa = make()
+    report = au.count_words(dfa, 300)
+    assert report.recurrence == recurrence
+    assert report.counts == tuple(au._dp_counts(dfa, 300))
 
 
 def test_counts_match_the_closed_form_at_length_1000():
@@ -320,6 +386,10 @@ def test_decimal_rows_are_str_of_the_counts_up_to_the_digit_limit():
 
 def test_counts_stop_at_the_first_total_that_reaches_the_ceiling():
     m = minimal_dfa()
+    # running totals 1, 19, 325, 5239: the first three are DP seed terms
+    for ceiling, last in ((1, 0), (19, 1), (20, 2), (326, 3)):
+        stopped = au.count_words(m, 5, ceiling=ceiling)
+        assert stopped == au.count_words(m, last)
     full = au.count_words(m, 400)
     first = next(n for n, total in enumerate(full.cumulative) if total >= 10**200)
     stopped = au.count_words(m, 400, ceiling=10**200)
@@ -341,6 +411,11 @@ def test_dominant_rate_estimate_is_the_correctly_rounded_last_ratio():
         c = report.counts
         assert report.dominant_rate_estimate == float(Fraction(c[n], c[n - 1]))
     assert au.count_words(m, 0).dominant_rate_estimate is None
+    assert au.count_words(m, 5, ceiling=1).dominant_rate_estimate is None
+    # words of even length: no ratio to a count of 0
+    even = au.Dfa(((1,) * 18, (0,) * 18), 0, frozenset({0}))
+    assert au.count_words(even, 2).counts == (1, 0, 324)
+    assert au.count_words(even, 2).dominant_rate_estimate is None
 
 
 def test_count_words_rejects_negative_length():

@@ -485,7 +485,7 @@ def test_seeded_quantum_output_is_pinned(argv, digest):
         ),
         (
             "counting",
-            "68639d2b1a4d5cea460bd827fd7cf9ee366025f0c1d290b96bba6a9efe8eb957",
+            "cf994247271fa591d9f46fc4478c0842f59bb34d07180583cbf124bd4e515a2c",
         ),
         (
             "bounds",
@@ -493,7 +493,7 @@ def test_seeded_quantum_output_is_pinned(argv, digest):
         ),
         (
             "all",
-            "f0a8a263719b2cbd97733adefc15af95ee82c7db1a52e89fd876c51a87a7cabd",
+            "348d7c6565d30f7b08fc97152afaa272b92ae619e8d129c7d07f8fb9cc3cc5a1",
         ),
     ],
 )
@@ -702,7 +702,7 @@ def test_verify_with_reduced_depths():
     assert "FAIL" not in text
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "e08eec95c6ee82f23d9dd02bcf18b7d6c499ec64851087c882401b933735d4d6"
+        == "37dc1fd169e16f31645fffc7450e0b784b14f388432ca67e8e001fd35f75875d"
     )
     for detail in (
         "(6175 strings, 0 mismatches)",
