@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from . import automata, grammar, maga, semantics, verify
-from .square import TokenError, format_string, parse_string
+from .square import ALPHABET, TokenError, parse_string
 
 FORMATS = ("table", "csv", "json")
 
@@ -294,14 +294,27 @@ def cmd_density(args, out) -> int:
 
 
 def cmd_sample(args, out) -> int:
-    from . import quantum  # numpy is loaded only by the commands that use it
+    """The runs a block at a time: one write of the block's lines, then,
+    with ``--check``, one stderr line per rejected run of the block."""
+    import numpy as np  # numpy is loaded only by the commands that use it
 
+    from . import quantum
+
+    tokens = np.array([sym.token for sym in ALPHABET], dtype=object)
+    # the oracle's table, flat: a state is kept as the offset of its row
+    width = len(ALPHABET)
+    table = width * np.array(semantics.DELTA).ravel()
     failures = 0
-    for run in quantum.sample_many(args.runs, args.length, args.seed):
-        line = format_string(run)
-        print(line, file=out)
-        if args.check and not semantics.is_consistent(run):
-            print(f"rejected by the consistency oracle: {line}", file=sys.stderr)
+    for codes in quantum.sample_codes(args.runs, args.length, args.seed):
+        lines = [" ".join(row) for row in tokens[codes].tolist()]
+        out.write("\n".join(lines) + "\n")
+        if not args.check:
+            continue
+        q = np.zeros(len(codes), dtype=table.dtype)
+        for column in codes.T:
+            table.take(q + column, out=q)
+        for i in np.flatnonzero(q == width * semantics.CLASH).tolist():
+            print(f"rejected by the consistency oracle: {lines[i]}", file=sys.stderr)
             failures += 1
     return 1 if failures else 0
 

@@ -391,9 +391,9 @@ def suite_counting(cfg: VerifyConfig) -> SuiteResult:
     # Cayley-Hamilton gives the DP's counts, over the N-state DFA, a
     # recurrence of order at most N.  If the report's counts follow the
     # derived recurrence, of order L, the difference of the two obeys one
-    # of order N + L <= 2N, so agreeing on 2N terms they agree everywhere.
+    # of order N + L, so agreeing on N + L terms they agree everywhere.
     c, rec, n_states = report.counts, report.recurrence, dfa.num_states
-    dp = automata._dp_counts(dfa, 2 * n_states - 1)
+    dp = automata._dp_counts(dfa, n_states + len(rec) - 1)
     mismatches = sum(a != b for a, b in zip(c, dp)) + sum(
         c[n] != sum(a * c[n - i] for i, a in enumerate(rec, 1))
         for n in range(len(rec), len(c))

@@ -238,12 +238,12 @@ def test_bit_curve():
 
 def test_count_words_matches_the_dp_at_every_length():
     """The numbers behind the ``counting`` suite's every-length line, up
-    to the suite's last length, and a report cut at each side of the 88
-    DP terms."""
+    to the suite's last length, and a report cut at each side of the 3
+    seed terms and of the suite's 47 reference terms."""
     m = minimal_dfa()
     dp = tuple(au._dp_counts(m, verify.COUNT_MAX))
     assert au.count_words(m, verify.COUNT_MAX).counts == dp
-    for n in (0, 1, 2, 3, 86, 87, 88, 89, 300):
+    for n in (0, 1, 2, 3, 45, 46, 47, 86, 87, 88, 89, 300):
         assert au.count_words(m, n).counts == dp[: n + 1]
 
 
@@ -267,11 +267,11 @@ def _refine_stopping_after_one_round(dfa, signature):
 @pytest.mark.parametrize(
     "name, broken, details",
     [
-        # a count past the 88 DP terms is checked by the recurrence alone
+        # a count past the 47 DP terms is checked by the recurrence alone
         (
             "count_words",
             _count_500_off,
-            ["recurrence [24, -135, 0], agree on 88 >= 44 + 3 terms, 3 mismatches"],
+            ["recurrence [24, -135, 0], agree on 47 >= 44 + 3 terms, 3 mismatches"],
         ),
         # past its L seed terms the report's counts come from the
         # recurrence, so the brute-force line sees a wrong one from
@@ -281,7 +281,7 @@ def _refine_stopping_after_one_round(dfa, signature):
             lambda dfa: (24, -135),
             [
                 "dfa [1, 18, 297, 4698, 72657] vs brute [1, 18, 306, 4914, 76626]",
-                "recurrence [24, -135], agree on 88 >= 44 + 2 terms, 86 mismatches",
+                "recurrence [24, -135], agree on 46 >= 44 + 2 terms, 44 mismatches",
             ],
         ),
         # one block of 43 accepting states: its representative has 15
@@ -291,7 +291,7 @@ def _refine_stopping_after_one_round(dfa, signature):
             _refine_stopping_after_one_round,
             [
                 "dfa [1, 15, 225, 3375, 50625] vs brute [1, 18, 306, 4914, 76626]",
-                "recurrence [15], agree on 88 >= 44 + 1 terms, 87 mismatches",
+                "recurrence [15], agree on 45 >= 44 + 1 terms, 44 mismatches",
             ],
         ),
     ],

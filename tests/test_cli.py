@@ -186,7 +186,7 @@ def test_count_table_is_padded_to_its_widest_cells(n):
 def test_count_json_is_what_json_dumps_writes(n):
     """The json rows are written from digit strings; ``json.dumps`` of the
     exact integers gives the same text.  The recurrence takes over from
-    the DP at 88."""
+    the DP's 3 seed terms at length 3."""
     report = automata.count_words(verify.minimal_dfa(), n)
     cells = zip(report.counts, report.cumulative, automata.hv_bits(report))
     payload = {
@@ -423,6 +423,32 @@ def test_sample_output_is_pinned():
     )
 
 
+def test_sample_check_reports_each_rejected_run_after_its_block(monkeypatch):
+    """Two blocks, each with a clashing run among consistent ones: every
+    run is printed in order, and each rejected run gets one stderr line,
+    after its block's lines."""
+    blocks = [["A B", "A ~A", "c ~gamma"], ["B B", "A ~A"]]
+    codes = [
+        np.array([[sym.index for sym in parse_string(run)] for run in block], np.uint8)
+        for block in blocks
+    ]
+    monkeypatch.setattr(quantum, "sample_codes", lambda runs, length, seed: codes)
+    argv = "sample --length 2 --runs 5 --seed 1 --check".split()
+    code, text, err = invoke_captured(argv)
+    assert code == 1
+    assert text.splitlines() == [run for block in blocks for run in block]
+    rejected = "rejected by the consistency oracle: A ~A"
+    assert err == f"{rejected}\n{rejected}\n"
+    both = io.StringIO()
+    with contextlib.redirect_stderr(both):
+        assert cli.run(argv, out=both) == 1
+    assert both.getvalue().splitlines() == [
+        *blocks[0], rejected, *blocks[1], rejected
+    ]
+    code, text, err = invoke_captured(argv[:-1])  # without --check
+    assert (code, len(text.splitlines()), err) == (0, 5, "")
+
+
 def test_a_five_word_seed_samples_what_default_rng_draws():
     """2**128 + 1 is a seed of five 32-bit words, so no zeros pad it
     before a child's spawn key.  Each line is the run that default_rng on
@@ -463,12 +489,33 @@ def test_a_five_word_seed_samples_what_default_rng_draws():
             ["sample", "--length", "20000", "--runs", "1", "--seed", "7"],
             "44fb8e27266bb4529ae71b26db80576f4801a78ba6afe2483a2d778ed6617ff8",
         ),
+        (
+            # the same runs as with --check
+            "sample --length 12 --runs 5000 --seed 20240817".split(),
+            "cfca7be9e5fb3d16e45f3ef395dab98e196776c846b4952b4119812c402ad823",
+        ),
+        (
+            # three empty lines
+            "sample --length 0 --runs 3 --seed 20240817 --check".split(),
+            "6a3cf5192354f71615ac51034b3e97c20eda99643fcaf5bbe6d41ad59bd12167",
+        ),
+        (
+            # past the 4096 runs whose seed words are made at once
+            "sample --length 1 --runs 4098 --seed 20240817 --check".split(),
+            "58d9d96a89f5f848d5aff87097d9fb16db748632327c9df10213098c5973d740",
+        ),
+        (
+            # several chunks of steps per run
+            "sample --length 2000 --runs 4 --seed 20240817 --check".split(),
+            "c2390670d506297f5fd87760f5b570ef5e8b922c3f7570a30d48bd2a7ad50354",
+        ),
     ],
 )
 def test_seeded_quantum_output_is_pinned(argv, digest):
-    """The quantum suite at the default depths, and long sampled runs."""
-    code, text = invoke(argv)
-    assert code == 0
+    """The quantum suite at the default depths, and sampled runs of
+    several lengths and counts; none writes to stderr."""
+    code, text, err = invoke_captured(argv)
+    assert (code, err) == (0, "")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -485,7 +532,7 @@ def test_seeded_quantum_output_is_pinned(argv, digest):
         ),
         (
             "counting",
-            "cf994247271fa591d9f46fc4478c0842f59bb34d07180583cbf124bd4e515a2c",
+            "6439e14719d2ea58331682830861614ab015cac7c745028caa221f95e3f95d31",
         ),
         (
             "bounds",
@@ -493,7 +540,7 @@ def test_seeded_quantum_output_is_pinned(argv, digest):
         ),
         (
             "all",
-            "348d7c6565d30f7b08fc97152afaa272b92ae619e8d129c7d07f8fb9cc3cc5a1",
+            "fa9b3c43951c841be3bca915b8ffe3fb2d9fbd5f9e103cbdb73e5b8cf97ec4a0",
         ),
     ],
 )
@@ -702,7 +749,7 @@ def test_verify_with_reduced_depths():
     assert "FAIL" not in text
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "37dc1fd169e16f31645fffc7450e0b784b14f388432ca67e8e001fd35f75875d"
+        == "39a4e0c97ed0a26d3c32e5e91746527dfc5c746a631ee909ede54803686c0c66"
     )
     for detail in (
         "(6175 strings, 0 mismatches)",
